@@ -68,7 +68,6 @@ from .estimators import (
     reports_to_csv,
     submartingale_scan,
 )
-from .cli import RunConfig, main
 
 __version__ = "0.1.0"
 
@@ -87,7 +86,6 @@ __all__ = [
     "PairPartition",
     "PathBundle",
     "QuadVarProfile",
-    "RunConfig",
     "SeedSpec",
     "SeriesTruncation",
     "SubmartingaleScan",
@@ -106,7 +104,6 @@ __all__ = [
     "increments_checksum",
     "ito_integral",
     "jackknife_mean_se",
-    "main",
     "martingale_increment_test",
     "mgf_truncated",
     "novikov_check",

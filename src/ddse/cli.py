@@ -29,6 +29,7 @@ from .estimators import (
 )
 from .integrand import DivergentIntegralError, IntegrandSpec, TimeGrid, novikov_check
 from .paths import (
+    SCHEMES,
     SeedSpec,
     increments_checksum,
     stoch_exp_em,
@@ -43,7 +44,6 @@ EXIT_STAT_FAIL = 1
 EXIT_DIVERGENT = 2
 EXIT_CONFIG = 64
 
-SCHEMES = ("exact", "em")
 FORMATS = ("json", "csv")
 
 _CONFIG_FIELDS = (

@@ -2,10 +2,12 @@
 
 Moments of a centered Gaussian factorize into sums over perfect pairings of
 the indices (Isserlis' theorem), so the m-th moment of the noise integral
-with variance v is (m-1)!! * v^(m/2) for even m and 0 for odd m.  The MGF
-series collects those moments order by order; the CGF keeps only orders one
-and two because every higher Gaussian cumulant vanishes.  That vanishing is
-structural here: the high orders are emitted as literal zeros, never
+with variance v is (m-1)!! * v^(m/2) for even m and 0 for odd m.  Moments
+and series terms use that closed form; ``enumerate_pairings`` builds the
+pairings themselves and serves as the oracle the tests count against.  The
+MGF series collects the moments order by order; the CGF keeps only orders
+one and two because every higher Gaussian cumulant vanishes.  That vanishing
+is structural here: the high orders are emitted as literal zeros, never
 computed, so tests can assert bitwise equality with 0.0.
 """
 
@@ -76,12 +78,7 @@ def _pairings(indices: tuple[int, ...]):
             yield ((first, partner),) + tail
 
 
-def enumerate_pairings(m: int) -> list[PairPartition]:
-    """All perfect pairings of {1..m} in deterministic lexicographic order.
-
-    Empty for odd m; the single empty partition for m = 0.  Orders above
-    MAX_ENUM_ORDER are refused with the would-be count.
-    """
+def _check_enum_order(m: int):
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > MAX_ENUM_ORDER:
@@ -90,21 +87,33 @@ def enumerate_pairings(m: int) -> list[PairPartition]:
             f" (m-1)!! = {pairing_count(m)} partitions;"
             f" the guard is m <= {MAX_ENUM_ORDER}"
         )
+
+
+def enumerate_pairings(m: int) -> list[PairPartition]:
+    """All perfect pairings of {1..m} in deterministic lexicographic order.
+
+    Empty for odd m; the single empty partition for m = 0.  Orders above
+    MAX_ENUM_ORDER are refused with the would-be count.  Used only as the
+    oracle that the closed forms are tested against.
+    """
+    _check_enum_order(m)
     if m % 2:
         return []
     return [PairPartition(pairs) for pairs in _pairings(tuple(range(1, m + 1)))]
 
 
 def gaussian_moment(variance: float, m: int) -> float:
-    """E S^m for S ~ Normal(0, variance), by summing over pairings.
+    """E S^m for S ~ Normal(0, variance), in closed form: (m-1)!! variance^(m/2).
 
-    Every pairing contributes variance^(m/2), so the sum collapses to the
-    integer pairing count times that power; the arithmetic is exact up to
-    the single float power and multiply.
+    Every pairing in ``enumerate_pairings(m)`` contributes variance^(m/2), so
+    the Isserlis sum collapses to the integer pairing count times that power;
+    the arithmetic is exact up to the single float power and multiply.
+    Orders above MAX_ENUM_ORDER are refused, as enumeration refuses them.
     """
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    return len(enumerate_pairings(m)) * float(variance) ** (m // 2)
+    _check_enum_order(m)
+    return pairing_count(m) * float(variance) ** (m // 2)
 
 
 @dataclass(frozen=True)
@@ -115,12 +124,6 @@ class SeriesTruncation:
     orders: tuple[tuple[int, float], ...] = field(default_factory=tuple)
     total: float = 0.0
 
-    def term(self, m: int) -> float:
-        for order, value in self.orders:
-            if order == m:
-                return value
-        raise KeyError(f"order {m} not present in truncation")
-
     def to_json_dict(self) -> dict:
         beta = int(self.beta) if self.beta == int(self.beta) else self.beta
         return {
@@ -130,16 +133,12 @@ class SeriesTruncation:
         }
 
 
-def mgf_truncated(spec: IntegrandSpec, t: float, M: int) -> SeriesTruncation:
-    """Moment series through order M: term m = (pairing count) qv^(m/2) / m!.
+def _check_truncation(M: int, lowest: int, what: str = "truncation order"):
+    if not lowest <= M <= MAX_ENUM_ORDER:
+        raise ValueError(f"{what} must lie in [{lowest}, {MAX_ENUM_ORDER}], got {M}")
 
-    Odd terms are exactly zero.  Totals are nondecreasing in M and converge
-    to exp(qv/2) from below; the first omitted even term times exp(qv/2)
-    bounds the remainder.
-    """
-    if not 0 <= M <= MAX_ENUM_ORDER:
-        raise ValueError(f"truncation order must lie in [0, {MAX_ENUM_ORDER}], got {M}")
-    qv = quad_var(spec, t)
+
+def _mgf_series(qv: float, M: int) -> SeriesTruncation:
     orders = []
     for m in range(M + 1):
         if m % 2:
@@ -150,6 +149,24 @@ def mgf_truncated(spec: IntegrandSpec, t: float, M: int) -> SeriesTruncation:
     return SeriesTruncation(beta=DEFAULT_BETA, orders=tuple(orders), total=total)
 
 
+def _cgf_series(qv: float, M: int) -> SeriesTruncation:
+    half_qv = 0.5 * qv
+    orders = [(1, 0.0), (2, half_qv)]
+    orders.extend((m, 0.0) for m in range(3, M + 1))
+    return SeriesTruncation(beta=DEFAULT_BETA, orders=tuple(orders), total=half_qv)
+
+
+def mgf_truncated(spec: IntegrandSpec, t: float, M: int) -> SeriesTruncation:
+    """Moment series through order M: term m = (pairing count) qv^(m/2) / m!.
+
+    Odd terms are exactly zero.  Totals are nondecreasing in M and converge
+    to exp(qv/2) from below; the first omitted even term times exp(qv/2)
+    bounds the remainder.
+    """
+    _check_truncation(M, 0)
+    return _mgf_series(quad_var(spec, t), M)
+
+
 def cgf_truncated(spec: IntegrandSpec, t: float, M: int) -> SeriesTruncation:
     """Cumulant series through order M: [0, qv/2, 0, 0, ...].
 
@@ -157,12 +174,8 @@ def cgf_truncated(spec: IntegrandSpec, t: float, M: int) -> SeriesTruncation:
     three and up is a structural zero: the Gaussian branch never computes
     them, so they compare bitwise equal to 0.0.
     """
-    if not 2 <= M <= MAX_ENUM_ORDER:
-        raise ValueError(f"cumulant truncation order must lie in [2, {MAX_ENUM_ORDER}], got {M}")
-    half_qv = 0.5 * quad_var(spec, t)
-    orders = [(1, 0.0), (2, half_qv)]
-    orders.extend((m, 0.0) for m in range(3, M + 1))
-    return SeriesTruncation(beta=DEFAULT_BETA, orders=tuple(orders), total=half_qv)
+    _check_truncation(M, 2, "cumulant truncation order")
+    return _cgf_series(quad_var(spec, t), M)
 
 
 def _even_term(qv: float, m: int) -> float:
@@ -193,12 +206,13 @@ def check_log_relation(spec: IntegrandSpec, t: float, M: int) -> LogRelationRepo
     """
     if M % 2 or M < 2:
         raise ValueError(f"log-relation check needs an even truncation order >= 2, got {M}")
-    mgf = mgf_truncated(spec, t, M)
-    cgf = cgf_truncated(spec, t, M)
+    _check_truncation(M, 0)
+    qv = quad_var(spec, t)
+    mgf = _mgf_series(qv, M)
+    cgf = _cgf_series(qv, M)
     if not mgf.total > 0:
         raise RuntimeError("internal invariant violated: MGF terms are nonnegative")
     gap = abs(math.log(mgf.total) - cgf.total)
-    qv = quad_var(spec, t)
     remainder = _even_term(qv, M + 2) * math.exp(0.5 * qv)
     if remainder >= mgf.total:
         bound = math.inf
@@ -214,8 +228,10 @@ def compensated_series_mean(spec: IntegrandSpec, t: float, M: int = 2) -> float:
     cancellation happens in the exponent, where it is exact, rather than
     between two rounded exponentials.
     """
-    cgf = cgf_truncated(spec, t, max(M, 2))
-    return math.exp(cgf.total - 0.5 * quad_var(spec, t))
+    M = max(M, 2)
+    _check_truncation(M, 2, "cumulant truncation order")
+    qv = quad_var(spec, t)
+    return math.exp(_cgf_series(qv, M).total - 0.5 * qv)
 
 
 def discrete_moment_oracle(

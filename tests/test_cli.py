@@ -1,10 +1,14 @@
 """End-to-end command-line runs, in process, against temporary directories."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ddse
 from ddse.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENT,
@@ -139,6 +143,24 @@ class TestNovikov:
         )
         assert main(["simulate", "--config", cfg]) == EXIT_DIVERGENT
         assert "divergent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            {"kind": "exponential_decay", "params": [1.0, -800.0]},
+            {"kind": "polynomial", "params": [0.0] * 5 + [1e200]},
+        ],
+    )
+    def test_overflowing_closed_form_is_divergent(self, workdir, capsys, psi):
+        cfg = write_config(workdir / "c.json", psi=psi, horizon=1.0, n_paths=200, steps=4)
+        assert main(["novikov", "--config", cfg]) == EXIT_DIVERGENT
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc == {"verdict": "divergent", "half_qv": None, "first_excess_time": None}
+        assert main(["estimate", "--config", cfg]) == EXIT_DIVERGENT
 
 
 class TestSimulate:
@@ -307,3 +329,37 @@ class TestWick:
             horizon=1.0,
         )
         assert main(["wick", "--config", cfg]) == EXIT_DIVERGENT
+
+
+class TestGolden:
+    # digests pinned by the reproducibility contract: a faster route to
+    # the same numbers must not change a byte of stdout
+    TABLE = [[k / 32, 0.5 + (37 * k % 29) / 29] for k in range(33)]
+    DIGESTS = {
+        "novikov": "81a86432ad7d98991406db478ae22f78ae4a17f4ad6729686650277622b8b1a9",
+        "wick": "b543b6244af71d6249d9e11e557cb1760472ea8f9aabaa518b15a11a07e875a7",
+    }
+
+    @pytest.mark.parametrize("argv", [["novikov"], ["wick", "--order", "14"]])
+    def test_tabulated_stdout_digest(self, workdir, capsys, argv):
+        cfg = write_config(workdir / "c.json", psi={"kind": "tabulated", "table": self.TABLE}, horizon=1.0)
+        assert main(argv + ["--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.DIGESTS[argv[0]]
+
+
+class TestImports:
+    @staticmethod
+    def run_python(*args):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddse.__file__)))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        done = self.run_python("-W", "error::RuntimeWarning", "-m", "ddse.cli", "novikov")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads(done.stdout)["verdict"] == "finite"
+
+    def test_package_import_leaves_out_adaptive_quadrature(self):
+        done = self.run_python("-c", "import sys, ddse; print('scipy.integrate' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

@@ -117,6 +117,21 @@ class TestSpecValidation:
         ):
             assert IntegrandSpec.from_json_dict(spec.to_json_dict()) == spec
 
+    def test_tabulated_identity_ignores_cached_knots(self):
+        knots = [(0.0, 1.0), (0.5, 2.0), (1.0, 0.0)]
+        twin = IntegrandSpec.tabulated(knots)
+        assert twin == TRIANGLE and hash(twin) == hash(TRIANGLE)
+        assert repr(twin) == (
+            "IntegrandSpec(kind='tabulated', params=(), blowup_time=None,"
+            " table=((0.0, 1.0), (0.5, 2.0), (1.0, 0.0)))"
+        )
+        assert twin.to_json_dict() == {"kind": "tabulated", "params": [], "table": [list(k) for k in knots]}
+        for array in (twin._knot_times, twin._knot_values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+        assert twin.value(0.25) == 1.5
+
     def test_json_unknown_field_and_missing_kind(self):
         with pytest.raises(ValueError, match="unknown integrand field"):
             IntegrandSpec.from_json_dict({"kind": "constant", "params": [1.0], "scale": 2})
@@ -233,6 +248,9 @@ class TestNovikov:
             (IntegrandSpec.inverse_sqrt_blowup(1.0, 1.0), 0.9),
             (IntegrandSpec.inverse_sqrt_blowup(1.0, 1.0), 1.2),
             (TRIANGLE, 1.0),
+            # closed forms that overflow float64 are divergent
+            (IntegrandSpec.exponential_decay(1.0, -800.0), 1.0),
+            (IntegrandSpec.polynomial([0.0] * 5 + [1e200]), 1.0),
         ]
         for spec, t in specs:
             verdict = novikov_check(spec, t).verdict
