@@ -179,27 +179,10 @@ def _load_config(args) -> RunConfig:
                 f" (line {exc.lineno}, column {exc.colno})"
             ) from exc
     config = RunConfig.from_dict(doc)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.n_paths is not None:
-        overrides["n_paths"] = args.n_paths
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.fmt is not None:
-        overrides["format"] = args.fmt
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if getattr(args, "p", None):
-        overrides["p_values"] = tuple(args.p)
+    # override flags are stored under the RunConfig field they replace
+    overrides = {k: getattr(args, k) for k in _CONFIG_FIELDS if getattr(args, k, None) is not None}
     if overrides:
-        merged = config.to_json_dict()
-        merged.update(overrides)
-        config = RunConfig.from_dict(merged)
+        config = RunConfig.from_dict({**config.to_json_dict(), **overrides})
     return config
 
 
@@ -281,10 +264,8 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     out = sys.stdout if out is None else out
     bundle = _build_bundle(config, workers)
     horizon_index = bundle.n_nodes - 1
-    mean_report = estimate_mean_z(bundle, horizon_index, workers=workers)
-    moment_reports = [
-        estimate_p_moment(bundle, horizon_index, p, workers=workers) for p in config.p_values
-    ]
+    mean_report = estimate_mean_z(bundle, horizon_index)
+    moment_reports = [estimate_p_moment(bundle, horizon_index, p) for p in config.p_values]
     doc: dict = {
         "config": config.to_json_dict(),
         "mean_z": mean_report.to_json_dict(),
@@ -372,14 +353,16 @@ def _build_parser() -> _Parser:
     common.add_argument("--steps", type=int, help="override: time steps")
     common.add_argument("--horizon", type=float, help="override: terminal time")
     common.add_argument("--scheme", choices=SCHEMES, help="override: sampling scheme")
-    common.add_argument("--format", dest="fmt", choices=FORMATS, help="override: report format")
-    common.add_argument("--out", help="override: output directory")
-    common.add_argument("--workers", type=int, default=1, help="worker threads (output-invariant)")
+    common.add_argument("--format", choices=FORMATS, help="override: report format")
+    common.add_argument("--out", dest="output_dir", help="override: output directory")
+    common.add_argument("--workers", type=int, default=1, help="sampling threads (output-invariant)")
 
     sub.add_parser("novikov", parents=[common], help="finiteness check of the exponent's variance")
     sub.add_parser("simulate", parents=[common], help="sample paths and write CSV/binary bundles")
     est = sub.add_parser("estimate", parents=[common], help="run the statistical verdict suite")
-    est.add_argument("--p", type=float, action="append", help="override: moment order (repeatable)")
+    est.add_argument(
+        "--p", dest="p_values", type=float, action="append", help="override: moment order (repeatable)"
+    )
     wick = sub.add_parser("wick", parents=[common], help="moment/cumulant series and log relation")
     wick.add_argument("--order", type=int, default=14, help="series truncation order (even, 2..14)")
     return parser

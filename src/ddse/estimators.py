@@ -4,14 +4,14 @@ Acceptance rules are fixed rather than configurable: point estimates pass
 when within 3 jackknife standard errors of their closed-form target, and
 the binned conditional-expectation test uses a 4-standard-error threshold
 to absorb the multiplicity across bins.  Every reduction over paths runs
-through fixed-size block sums, so a report is bit-identical for a given
-bundle no matter how many workers computed it.
+on one thread through fixed-size block sums combined in index order, so
+a report is a pure function of its bundle.  Worker threads belong to the
+sampler, whose rows do not depend on how many of them ran.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,38 +27,35 @@ BIN_GAP_SIGMAS = 4.0
 HEAVY_TAIL_QV = 3.0
 
 # Reduction block: sums are taken over fixed 8192-element slices and the
-# per-slice partials combined in index order.  Workers parallelize slices,
-# never the combination, which pins the floating-point result.
+# per-slice partials combined in index order, which pins the floating-point
+# result for a given array.
 _SUM_BLOCK = 8192
 
 
-def det_sum(x, workers: int = 1) -> float:
-    """Blockwise deterministic sum, independent of worker count."""
+def det_sum(x) -> float:
+    """Blockwise deterministic sum: slice partials combined in index order."""
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
     if x.size == 0:
         return 0.0
-    starts = range(0, x.size, _SUM_BLOCK)
-    if workers <= 1 or len(starts) == 1:
-        partials = [np.sum(x[s : s + _SUM_BLOCK]) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda s: np.sum(x[s : s + _SUM_BLOCK]), starts))
+    partials = [np.sum(x[s : s + _SUM_BLOCK]) for s in range(0, x.size, _SUM_BLOCK)]
     return float(np.sum(np.asarray(partials)))
 
 
-def jackknife_mean_se(x, workers: int = 1) -> tuple[float, float]:
-    """Sample mean and its leave-one-out jackknife standard error."""
+def jackknife_mean_se(x) -> tuple[float, float]:
+    """Sample mean and its leave-one-out jackknife standard error.
+
+    For the mean the jackknife SE is exactly s / sqrt(n), so it is computed
+    in closed form from the centred sum of squares (two passes) rather than
+    from the n leave-one-out means.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
     n = x.size
     if n < 2:
         raise ValueError("jackknife needs at least two observations")
-    total = det_sum(x, workers)
-    mean = total / n
-    loo = (total - x) / (n - 1.0)
-    center = det_sum(loo, workers) / n
-    dev = loo - center
-    var = (n - 1.0) / n * det_sum(dev * dev, workers)
-    return mean, math.sqrt(var)
+    mean = det_sum(x) / n
+    dev = x - mean
+    np.multiply(dev, dev, out=dev)
+    return mean, math.sqrt(det_sum(dev) / (n * (n - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,8 @@ class EstimateReport:
         }
 
 
-def _mean_report(quantity, x, target, notes, workers) -> EstimateReport:
-    mean, se = jackknife_mean_se(x, workers)
+def _mean_report(quantity, x, target, notes) -> EstimateReport:
+    mean, se = jackknife_mean_se(x)
     passed = None
     if target is not None:
         target = float(target)
@@ -122,6 +119,16 @@ def _check_node(bundle: PathBundle, t_index: int):
         raise IndexError(f"node index {t_index} out of range for {bundle.n_nodes} nodes")
 
 
+def _node_column(bundle: PathBundle, t_index: int):
+    """(t, qv, z column) at a node of a bundle large enough for an SE."""
+    _check_node(bundle, t_index)
+    if bundle.n_paths < 100:
+        raise ValueError("refusing to estimate from fewer than 100 paths; the standard error would be meaningless")
+    t = float(bundle.grid.t[t_index])
+    qv = float(bundle.quad_var[t_index])
+    return t, qv, np.ascontiguousarray(bundle.z[:, t_index])
+
+
 def _pair_means(x: np.ndarray, bundle: PathBundle, notes: list):
     # antithetic rows are mirrored pairs (2k, 2k+1); their means are the
     # iid observations the standard error is built from
@@ -131,21 +138,17 @@ def _pair_means(x: np.ndarray, bundle: PathBundle, notes: list):
     return 0.5 * (x[0::2] + x[1::2])
 
 
-def estimate_mean_z(bundle: PathBundle, t_index: int, workers: int = 1) -> EstimateReport:
+def estimate_mean_z(bundle: PathBundle, t_index: int) -> EstimateReport:
     """Sample mean of z at a node against the martingale target 1."""
-    _check_node(bundle, t_index)
-    if bundle.n_paths < 100:
-        raise ValueError("refusing to estimate from fewer than 100 paths; the standard error would be meaningless")
-    t = float(bundle.grid.t[t_index])
+    t, qv, z = _node_column(bundle, t_index)
     notes: list[str] = []
-    x = _pair_means(np.ascontiguousarray(bundle.z[:, t_index]), bundle, notes)
-    qv = float(bundle.quad_var[t_index])
+    x = _pair_means(z, bundle, notes)
     if qv > HEAVY_TAIL_QV:
         notes.append(
             f"heavy-tail warning: accumulated squared integrand {qv:.6g} > {HEAVY_TAIL_QV:g},"
             f" var z = exp(qv) - 1 makes 3-sigma coverage optimistic"
         )
-    return _mean_report(f"mean_z@t={t:g}", x, 1.0, notes, workers)
+    return _mean_report(f"mean_z@t={t:g}", x, 1.0, notes)
 
 
 def p_moment_targets(qv_values, p: float) -> np.ndarray:
@@ -153,7 +156,7 @@ def p_moment_targets(qv_values, p: float) -> np.ndarray:
     return np.exp(0.5 * p * (p - 1.0) * np.asarray(qv_values, dtype=np.float64))
 
 
-def estimate_p_moment(bundle: PathBundle, t_index: int, p: float, workers: int = 1) -> EstimateReport:
+def estimate_p_moment(bundle: PathBundle, t_index: int, p: float) -> EstimateReport:
     """Sample mean of |z|^p against exp(p(p-1) qv_N / 2).
 
     The target uses the discrete compensator, which is exactly what the
@@ -164,15 +167,10 @@ def estimate_p_moment(bundle: PathBundle, t_index: int, p: float, workers: int =
     if not p > 0:
         raise ValueError("moment order p must be positive")
     if p == 1 and bundle.nonpositive_count == 0:
-        return estimate_mean_z(bundle, t_index, workers=workers)
-    _check_node(bundle, t_index)
-    if bundle.n_paths < 100:
-        raise ValueError("refusing to estimate from fewer than 100 paths; the standard error would be meaningless")
-    t = float(bundle.grid.t[t_index])
-    qv = float(bundle.quad_var[t_index])
+        return estimate_mean_z(bundle, t_index)
+    t, qv, z = _node_column(bundle, t_index)
     notes: list[str] = []
-    x = np.abs(np.ascontiguousarray(bundle.z[:, t_index])) ** p
-    x = _pair_means(x, bundle, notes)
+    x = _pair_means(np.abs(z) ** p, bundle, notes)
     target = float(p_moment_targets(qv, p))
     with np.errstate(over="ignore"):
         var_cf = float(np.exp(p * (2.0 * p - 1.0) * qv) - np.exp(p * (p - 1.0) * qv))
@@ -181,7 +179,7 @@ def estimate_p_moment(bundle: PathBundle, t_index: int, p: float, workers: int =
         f"variance oracle exp(p(2p-1)qv) - exp(p(p-1)qv) = {var_cf:.6g}"
         f" gives closed-form SE {se_cf:.6g}"
     )
-    return _mean_report(f"pth_moment@p={p:g};t={t:g}", x, target, notes, workers)
+    return _mean_report(f"pth_moment@p={p:g};t={t:g}", x, target, notes)
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,8 @@ def submartingale_scan(
     targets across nodes); the per-node statistical consistency is recorded
     separately.  A flat or partially flat target profile is reported in the
     notes instead of raising.  Passing ``bundle`` reuses existing paths; it
-    must have been generated from the same spec and grid.
+    must have been generated from the same spec and grid.  ``workers``
+    reaches only the sampler.
     """
     if not p > 1:
         raise ValueError("submartingale scan requires p > 1")
@@ -248,9 +247,7 @@ def submartingale_scan(
                 "non-strict target profile on steps "
                 + ", ".join(f"{grid.t[i]:g}->{grid.t[i + 1]:g}" for i in flat)
             )
-    reports = tuple(
-        estimate_p_moment(bundle, j, p, workers=workers) for j in range(grid.t.size)
-    )
+    reports = tuple(estimate_p_moment(bundle, j, p) for j in range(grid.t.size))
     return SubmartingaleScan(
         p=float(p),
         times=tuple(float(v) for v in grid.t),
@@ -375,7 +372,7 @@ def drift_expectation_check(
     x = _pair_means(np.ascontiguousarray(paths.x[:, -1]), paths.bundle, notes)
     horizon = grid.horizon
     target = x0 * math.exp(alpha * horizon)
-    return _mean_report(f"mean_x@t={horizon:g}", x, target, notes, workers)
+    return _mean_report(f"mean_x@t={horizon:g}", x, target, notes)
 
 
 def reports_to_csv(reports) -> str:

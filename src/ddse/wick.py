@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrand import IntegrandSpec, TimeGrid, quad_var
+from .integrand import DivergentIntegralError, IntegrandSpec, TimeGrid, quad_var
 from .paths import SeedSpec, ito_integral, sample_brownian
 
 #: Enumeration guard: 13!! = 135135 partitions finish in milliseconds,
@@ -109,11 +109,18 @@ def gaussian_moment(variance: float, m: int) -> float:
     the Isserlis sum collapses to the integer pairing count times that power;
     the arithmetic is exact up to the single float power and multiply.
     Orders above MAX_ENUM_ORDER are refused, as enumeration refuses them.
+    A moment beyond float64 range raises DivergentIntegralError.
     """
     if variance < 0:
         raise ValueError("variance must be nonnegative")
     _check_enum_order(m)
-    return pairing_count(m) * float(variance) ** (m // 2)
+    try:
+        moment = pairing_count(m) * float(variance) ** (m // 2)
+    except OverflowError:
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise DivergentIntegralError(f"Gaussian moment of order {m} overflows at variance {variance:g}")
+    return moment
 
 
 @dataclass(frozen=True)
@@ -193,7 +200,9 @@ class LogRelationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {"gap": self.gap, "bound": self.bound, "pass": self.passed}
+        # a vacuous (infinite) bound is written as null: JSON has no Infinity
+        bound = self.bound if math.isfinite(self.bound) else None
+        return {"gap": self.gap, "bound": bound, "pass": self.passed}
 
 
 def check_log_relation(spec: IntegrandSpec, t: float, M: int) -> LogRelationReport:
@@ -201,8 +210,8 @@ def check_log_relation(spec: IntegrandSpec, t: float, M: int) -> LogRelationRepo
 
     The remainder R is the first omitted even MGF term scaled by exp(qv/2);
     the bound log(1 + R/(total - R)) dominates the truncation gap.  When the
-    truncation is too coarse to control the mass (R >= total) the bound is
-    reported as infinity and the check is vacuous.
+    truncation is too coarse to control the mass (R >= total), or R itself
+    overflows float64, the bound is infinite and the check is vacuous.
     """
     if M % 2 or M < 2:
         raise ValueError(f"log-relation check needs an even truncation order >= 2, got {M}")
@@ -213,7 +222,10 @@ def check_log_relation(spec: IntegrandSpec, t: float, M: int) -> LogRelationRepo
     if not mgf.total > 0:
         raise RuntimeError("internal invariant violated: MGF terms are nonnegative")
     gap = abs(math.log(mgf.total) - cgf.total)
-    remainder = _even_term(qv, M + 2) * math.exp(0.5 * qv)
+    try:
+        remainder = _even_term(qv, M + 2) * math.exp(0.5 * qv)
+    except OverflowError:
+        remainder = math.inf
     if remainder >= mgf.total:
         bound = math.inf
     else:

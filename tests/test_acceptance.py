@@ -180,7 +180,7 @@ def test_criterion_10_increment_test_power(main_run):
     verdict(10, "binned increment test passes clean paths and catches a 5 SE drift", ok)
 
 
-def test_criterion_11_deterministic_reports(main_run, tmp_path):
+def test_criterion_11_deterministic_reports(tmp_path):
     config = {
         "psi": {"kind": "constant", "params": [1.0]},
         "horizon": 1.0,
@@ -201,7 +201,9 @@ def test_criterion_11_deterministic_reports(main_run, tmp_path):
     codes.append(main(["estimate", "--config", str(cfg_path), "--workers", "8"]))
     eight = report_path.read_bytes()
 
-    bundle, _ = main_run
-    api_same = estimate_mean_z(bundle, 16, workers=1) == estimate_mean_z(bundle, 16, workers=8)
+    # 300k rows span two sampler slices, so eight workers run the thread pool
+    grid = TimeGrid.uniform(1.0, 2)
+    serial, pooled = (stoch_exp_exact(UNIT, grid, 300_000, SeedSpec(12), workers=w) for w in (1, 8))
+    api_same = estimate_mean_z(serial, 2) == estimate_mean_z(pooled, 2)
     ok = codes == [0, 0, 0] and first == second == eight and api_same
     verdict(11, "reports are byte-identical across reruns and worker counts", ok)

@@ -330,6 +330,25 @@ class TestWick:
         )
         assert main(["wick", "--config", cfg]) == EXIT_DIVERGENT
 
+    @pytest.mark.parametrize("level,code", [(10.0, EXIT_OK), (40.0, EXIT_OK), (1e150, EXIT_DIVERGENT)])
+    def test_overflowing_series_keeps_exit_contract(self, workdir, capsys, level, code):
+        # c = 10: the remainder bound is vacuous; c = 40: exp(qv/2) overflows;
+        # c = 1e150: the order-4 moment overflows
+        cfg = write_config(workdir / "c.json", psi={"kind": "constant", "params": [level]}, horizon=1.0)
+        assert main(["wick", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_DIVERGENT:
+            assert captured.err.startswith("divergent:")
+            assert captured.out == ""
+            return
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        doc = json.loads(captured.out, parse_constant=reject)
+        assert doc["log_relation"]["bound"] is None
+        assert doc["log_relation"]["pass"] is True
+
 
 class TestGolden:
     # digests pinned by the reproducibility contract: a faster route to

@@ -64,6 +64,13 @@ class TestSampleBrownian:
         base = sample_brownian(grid, 4000, SEED)
         for workers in (2, 3, 8):
             assert np.array_equal(sample_brownian(grid, 4000, SEED, workers=workers), base)
+        # above 2^18 generated rows the sampler splits into slices and, with
+        # more than one worker, runs them on its thread pool
+        grid = TimeGrid.uniform(1.0, 1)
+        for antithetic in (False, True):
+            one = sample_brownian(grid, 600_000, SEED, antithetic=antithetic, workers=1)
+            three = sample_brownian(grid, 600_000, SEED, antithetic=antithetic, workers=3)
+            assert one.tobytes() == three.tobytes()
 
     def test_streams_and_seeds_differ(self):
         grid = TimeGrid.uniform(1.0, 4)

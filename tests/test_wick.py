@@ -141,6 +141,14 @@ class TestGaussianMoment:
         with pytest.raises(CapacityError):
             gaussian_moment(1.0, 16)
 
+    def test_overflow_is_divergent(self):
+        # (m-1)!! v^(m/2) past float64 range: the series cannot be formed
+        assert gaussian_moment(1e300, 2) == 1e300
+        with pytest.raises(DivergentIntegralError, match="order 4"):
+            gaussian_moment(1e300, 4)
+        with pytest.raises(DivergentIntegralError, match="order 14"):
+            gaussian_moment(1e44, 14)
+
 
 @settings(max_examples=30, deadline=None)
 @given(v=st.floats(0.0, 10.0), half=st.integers(0, 5))
