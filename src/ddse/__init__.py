@@ -27,11 +27,9 @@ from .integrand import (
     quad_var_profile,
 )
 from .paths import (
-    DriftedPaths,
     PathBundle,
     SeedSpec,
     discrete_quad_var,
-    gbm_drift,
     increments_checksum,
     ito_integral,
     read_binary,
@@ -76,7 +74,6 @@ __all__ = [
     "DIVERGENCE_CAP",
     "CapacityError",
     "DivergentIntegralError",
-    "DriftedPaths",
     "EstimateReport",
     "IntegrandDomainError",
     "IntegrandSpec",
@@ -100,7 +97,6 @@ __all__ = [
     "estimate_mean_z",
     "estimate_p_moment",
     "gaussian_moment",
-    "gbm_drift",
     "increments_checksum",
     "ito_integral",
     "jackknife_mean_se",

@@ -2,9 +2,9 @@
 
 Exit codes are a contract: 0 success, 1 a statistical check failed,
 2 the integrand fails the finiteness (Novikov) gate, 64 configuration or
-usage error.  Nothing else is returned.  Output files are written through
-a temp-file-plus-rename so a crash can never leave a partial report, and
-they contain no timestamps or environment detail: re-running an unchanged
+usage error.  Nothing else is returned.  Every output file is written
+through a temp-file-plus-rename so a crash can never leave a partial or
+stray file, and they contain no timestamps or environment detail: re-running an unchanged
 config reproduces them byte for byte.  Output is plain text; NO_COLOR
 holds trivially because no escape codes are ever emitted.
 """
@@ -12,11 +12,12 @@ holds trivially because no escape codes are ever emitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -187,20 +188,30 @@ def _load_config(args) -> RunConfig:
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_atomic(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_path(path: str):
+    """Yield a temp path beside ``path``, renamed over it if the block succeeds.
+
+    If the block raises, the temp file is removed and ``path`` is untouched.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_atomic(path: str, text: str):
+    with _atomic_path(path) as tmp, open(tmp, "w") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +240,10 @@ def _build_bundle(config: RunConfig, workers: int):
 def cmd_simulate(config: RunConfig, workers: int = 1, out=None) -> int:
     out = sys.stdout if out is None else out
     bundle = _build_bundle(config, workers)
-    os.makedirs(config.output_dir, exist_ok=True)
-    csv_path = os.path.join(config.output_dir, "paths.csv")
-    bin_path = os.path.join(config.output_dir, "paths.bin")
-    tmp_csv = csv_path + ".tmp"
-    tmp_bin = bin_path + ".tmp"
-    write_csv(bundle, tmp_csv)
-    os.replace(tmp_csv, csv_path)
-    write_binary(bundle, tmp_bin)
-    os.replace(tmp_bin, bin_path)
+    with _atomic_path(os.path.join(config.output_dir, "paths.csv")) as tmp:
+        write_csv(bundle, tmp)
+    with _atomic_path(os.path.join(config.output_dir, "paths.bin")) as tmp:
+        write_binary(bundle, tmp)
     manifest = {
         "seed": config.seed,
         "stream": 0,
@@ -283,28 +289,18 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
         doc["increment_test"] = None
         doc["notes"].append("increment test skipped: needs at least 10000 paths")
 
-    scans = []
-    for p in config.p_values:
-        if p <= 1:
-            continue
-        scan = submartingale_scan(
-            config.psi,
-            config.grid,
-            p,
-            config.n_paths,
-            config.seed_spec,
-            antithetic=config.antithetic,
-            workers=workers,
-            bundle=bundle if config.scheme == "exact" else None,
-        )
-        scans.append(scan)
-        # exit status tracks the statistical comparisons; a flat closed-form
-        # profile (monotone_pass false for psi = 0) is data, not a failure
-        pass_flags.append(scan.statistical_pass)
+    scan_ps = [p for p in config.p_values if p > 1]
+    if scan_ps and config.scheme != "exact":
+        # the moment profile is a law of the exact exponential: an Euler run
+        # draws one exact bundle, on the same noise, for all of its scans
+        bundle = _build_bundle(replace(config, scheme="exact"), workers)
+    scans = [submartingale_scan(bundle, p) for p in scan_ps]
+    # exit status tracks the statistical comparisons; a flat closed-form
+    # profile (monotone_pass false for psi = 0) is data, not a failure
+    pass_flags.extend(scan.statistical_pass for scan in scans)
     doc["scans"] = [s.to_json_dict() for s in scans]
     doc["all_pass"] = all(pass_flags)
 
-    os.makedirs(config.output_dir, exist_ok=True)
     if config.format == "json":
         report_path = os.path.join(config.output_dir, "report.json")
         _write_atomic(report_path, _dump_json(doc))

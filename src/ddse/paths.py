@@ -262,37 +262,6 @@ def stoch_exp_em(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DriftedPaths:
-    """Exponential-sampler paths scaled by the deterministic drift factor."""
-
-    bundle: PathBundle
-    alpha: float
-    x0: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.x.setflags(write=False)
-
-
-def gbm_drift(
-    alpha: float,
-    x0: float,
-    spec: IntegrandSpec,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: SeedSpec,
-    antithetic: bool = False,
-    workers: int = 1,
-) -> DriftedPaths:
-    """Paths x(t_j) = x0 exp(alpha t_j) z(t_j) of the drifted process."""
-    if not x0 > 0:
-        raise ValueError("x0 must be positive")
-    bundle = stoch_exp_exact(spec, grid, n_paths, seed, antithetic=antithetic, workers=workers)
-    x = x0 * np.exp(alpha * grid.t) * bundle.z
-    return DriftedPaths(bundle=bundle, alpha=float(alpha), x0=float(x0), x=x)
-
-
 # ---------------------------------------------------------------------------
 # export
 

@@ -86,7 +86,7 @@ def test_criterion_03_moment_profile_increases():
     ok = all(
         bool(np.all(np.diff(p_moment_targets(qv, p)) > 0.0)) for p in (1.5, 2.0, 3.0)
     )
-    scan = submartingale_scan(UNIT, TimeGrid.uniform(1.0, 2), 2.0, 200_000, SeedSpec(701))
+    scan = submartingale_scan(stoch_exp_exact(UNIT, TimeGrid.uniform(1.0, 2), 200_000, SeedSpec(701)), 2.0)
     ok = ok and scan.monotone_pass and scan.statistical_pass
     verdict(3, "p-th moment target profile strictly increases and the samples agree", ok)
 
@@ -140,7 +140,7 @@ def test_criterion_08_finiteness_gate():
 
 
 def test_criterion_09_drifted_mean():
-    report = drift_expectation_check(1.0, 1.0, UNIT, MAIN_GRID, N_MAIN, SeedSpec(4242))
+    report = drift_expectation_check(stoch_exp_exact(UNIT, MAIN_GRID, N_MAIN, SeedSpec(4242)), 1.0, 1.0)
     ok = report.passed and report.target == pytest.approx(math.e, rel=1e-15)
     verdict(9, "drifted process mean lands on x0 exp(alpha T) within 3 SE", ok)
 

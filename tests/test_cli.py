@@ -9,10 +9,12 @@ import sys
 import pytest
 
 import ddse
+import ddse.cli
 from ddse.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENT,
     EXIT_OK,
+    EXIT_STAT_FAIL,
     ConfigError,
     RunConfig,
     main,
@@ -27,6 +29,10 @@ def write_config(path, **fields):
     with open(path, "w") as fh:
         json.dump(fields, fh)
     return str(path)
+
+
+def reject_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
 
 
 @pytest.fixture
@@ -154,11 +160,7 @@ class TestNovikov:
     def test_overflowing_closed_form_is_divergent(self, workdir, capsys, psi):
         cfg = write_config(workdir / "c.json", psi=psi, horizon=1.0, n_paths=200, steps=4)
         assert main(["novikov", "--config", cfg]) == EXIT_DIVERGENT
-
-        def reject(token):
-            raise AssertionError(f"non-standard JSON token {token}")
-
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert doc == {"verdict": "divergent", "half_qv": None, "first_excess_time": None}
         assert main(["estimate", "--config", cfg]) == EXIT_DIVERGENT
 
@@ -212,6 +214,18 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--seed", "77"])
         manifest = json.loads((workdir / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+    def test_failed_write_leaves_no_temp_file(self, workdir, capsys, monkeypatch):
+        def broken(bundle, path):
+            with open(path, "wb") as fh:
+                fh.write(b"DDSE")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ddse.cli, "write_binary", broken)
+        with pytest.raises(OSError, match="disk full"):
+            main(["simulate", "--config", self.base_config(workdir)])
+        assert not [name for name in os.listdir(workdir / "out") if ".tmp" in name]
+        assert not (workdir / "out" / "paths.bin").exists()
 
     def test_zero_integrand_z_column_is_one(self, workdir, capsys):
         cfg = self.base_config(workdir, psi=ZERO_PSI, n_paths=3, steps=2)
@@ -289,6 +303,46 @@ class TestEstimate:
         cfg = self.config(workdir, scheme="em", steps=32, seed=21, p_values=[1.0])
         assert main(["estimate", "--config", cfg]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "scheme,expected",
+        [("exact", {"stoch_exp_exact": 1}), ("em", {"stoch_exp_em": 1, "stoch_exp_exact": 1})],
+    )
+    def test_each_law_is_sampled_once(self, workdir, capsys, monkeypatch, scheme, expected):
+        # count calls through every binding of the samplers in the package
+        calls = {}
+        for name in ("stoch_exp_exact", "stoch_exp_em"):
+            real = getattr(ddse.paths, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("ddse") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        cfg = self.config(workdir, scheme=scheme, p_values=[2.0, 3.0])
+        assert main(["estimate", "--config", cfg]) in (EXIT_OK, EXIT_STAT_FAIL)
+        assert calls == expected
+        doc = json.loads((workdir / "out" / "report.json").read_text())
+        assert [scan["p"] for scan in doc["scans"]] == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "level,code", [(10.0, None), (20.0, EXIT_DIVERGENT), (40.0, EXIT_DIVERGENT), (1e150, EXIT_DIVERGENT)]
+    )
+    def test_overflowing_target_keeps_exit_contract(self, workdir, capsys, level, code):
+        # c = 20: the p = 3 target exp(3 c^2 t) passes float64 range at t > 0.6;
+        # c = 40 and 1e150: the p = 2 target does too
+        cfg = self.config(workdir, psi={"kind": "constant", "params": [level]}, p_values=[2.0, 3.0])
+        got = main(["estimate", "--config", cfg])
+        report = workdir / "out" / "report.json"
+        if code == EXIT_DIVERGENT:
+            assert got == EXIT_DIVERGENT
+            assert capsys.readouterr().err.startswith("divergent:")
+            assert not report.exists()
+            return
+        assert got in (EXIT_OK, EXIT_STAT_FAIL)
+        json.loads(report.read_text(), parse_constant=reject_constant)
+
     def test_csv_format(self, workdir, capsys):
         cfg = self.config(workdir, format="csv")
         assert main(["estimate", "--config", cfg]) == EXIT_OK
@@ -342,10 +396,7 @@ class TestWick:
             assert captured.out == ""
             return
 
-        def reject(token):
-            raise AssertionError(f"non-standard JSON token {token}")
-
-        doc = json.loads(captured.out, parse_constant=reject)
+        doc = json.loads(captured.out, parse_constant=reject_constant)
         assert doc["log_relation"]["bound"] is None
         assert doc["log_relation"]["pass"] is True
 
@@ -373,10 +424,21 @@ class TestImports:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddse.__file__)))
         return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
-    def test_module_entry_point_runs_without_runpy_warning(self):
+    def test_module_entry_point_runs_without_runpy_warning(self, tmp_path):
         done = self.run_python("-W", "error::RuntimeWarning", "-m", "ddse.cli", "novikov")
         assert done.returncode == EXIT_OK, done.stderr
         assert json.loads(done.stdout)["verdict"] == "finite"
+        # overflowing moment targets end in the divergence code, not a warning
+        cfg = write_config(
+            tmp_path / "c.json",
+            psi={"kind": "constant", "params": [20.0]},
+            n_paths=1_000,
+            steps=8,
+            p_values=[2.0, 3.0],
+            output_dir=str(tmp_path / "out"),
+        )
+        done = self.run_python("-W", "error::RuntimeWarning", "-m", "ddse.cli", "estimate", "--config", cfg)
+        assert done.returncode == EXIT_DIVERGENT, done.stderr
 
     def test_package_import_leaves_out_adaptive_quadrature(self):
         done = self.run_python("-c", "import sys, ddse; print('scipy.integrate' in sys.modules)")

@@ -189,9 +189,13 @@ class TestEstimatePMoment:
         np.testing.assert_allclose(got, np.exp(3.0 * qv), rtol=1e-15)
 
 
+def scan_of(spec, grid, p, n_paths, seed):
+    return submartingale_scan(stoch_exp_exact(spec, grid, n_paths, seed), p)
+
+
 class TestSubmartingaleScan:
     def test_unit_integrand_profile(self):
-        scan = submartingale_scan(UNIT, TimeGrid.uniform(1.0, 2), 2.0, 200_000, SeedSpec(701))
+        scan = scan_of(UNIT, TimeGrid.uniform(1.0, 2), 2.0, 200_000, SeedSpec(701))
         assert scan.targets == (1.0, math.exp(0.5), math.exp(1.0))
         assert scan.monotone_pass
         assert scan.statistical_pass
@@ -203,14 +207,14 @@ class TestSubmartingaleScan:
         ]
 
     def test_zero_integrand_profile_is_flat_not_failing(self):
-        scan = submartingale_scan(ZERO, TimeGrid.uniform(1.0, 2), 2.0, 1_000, SeedSpec(7))
+        scan = scan_of(ZERO, TimeGrid.uniform(1.0, 2), 2.0, 1_000, SeedSpec(7))
         assert not scan.monotone_pass
         assert scan.statistical_pass
         assert any("constant profile" in n for n in scan.notes)
 
     def test_vanishing_integrand_start_reported_as_non_strict(self):
         # left-endpoint accumulation leaves the first step of t -> t^2/2 flat
-        scan = submartingale_scan(IDENT, TimeGrid.uniform(2.0, 2), 1.5, 50_000, SeedSpec(808))
+        scan = scan_of(IDENT, TimeGrid.uniform(2.0, 2), 1.5, 50_000, SeedSpec(808))
         assert scan.targets == (1.0, 1.0, pytest.approx(math.exp(0.375), rel=1e-15))
         assert not scan.monotone_pass
         assert scan.statistical_pass
@@ -218,17 +222,10 @@ class TestSubmartingaleScan:
 
     def test_requires_p_above_one(self):
         with pytest.raises(ValueError, match="p > 1"):
-            submartingale_scan(UNIT, TimeGrid.uniform(1.0, 2), 1.0, 10_000, SeedSpec(8))
-
-    def test_bundle_reuse_matches_fresh_run(self):
-        grid = TimeGrid.uniform(1.0, 2)
-        bundle = stoch_exp_exact(UNIT, grid, 50_000, SeedSpec(701))
-        fresh = submartingale_scan(UNIT, grid, 2.0, 50_000, SeedSpec(701))
-        reused = submartingale_scan(UNIT, grid, 2.0, 50_000, SeedSpec(701), bundle=bundle)
-        assert fresh == reused
+            scan_of(UNIT, TimeGrid.uniform(1.0, 2), 1.0, 10_000, SeedSpec(8))
 
     def test_json_shape(self):
-        scan = submartingale_scan(ZERO, TimeGrid.uniform(1.0, 2), 2.0, 1_000, SeedSpec(7))
+        scan = scan_of(ZERO, TimeGrid.uniform(1.0, 2), 2.0, 1_000, SeedSpec(7))
         doc = scan.to_json_dict()
         assert set(doc) == {"p", "times", "targets", "monotone_pass", "statistical_pass", "notes", "reports"}
         assert doc["monotone_pass"] is False
@@ -288,23 +285,43 @@ class TestMartingaleIncrementTest:
 
 class TestDriftExpectation:
     def test_no_drift_no_noise_is_exact(self):
-        report = drift_expectation_check(0.0, 2.0, ZERO, TimeGrid.uniform(1.0, 4), 500, SeedSpec(11))
+        bundle = stoch_exp_exact(ZERO, TimeGrid.uniform(1.0, 4), 500, SeedSpec(11))
+        report = drift_expectation_check(bundle, 0.0, 2.0)
         assert report.estimate == 2.0
         assert report.std_error == 0.0
         assert report.passed
         assert report.quantity == "mean_x@t=1"
+        # a constant sample whose sum rounds: the mean lands a few ulps off
+        # its target with SE 0 or ~1e-18, and must still pass; the last case
+        # is the deterministic decay x(2) = 3 exp(-2)
+        cases = [(0.0, x0, 1.0, n) for x0 in (0.1, 0.3, 0.7, 1.1, 2.3, 3.7, 5.9) for n in (500, 1_000, 3_000)]
+        cases.append((-1.0, 3.0, 2.0, 500))
+        for alpha, x0, horizon, n in cases:
+            bundle = stoch_exp_exact(ZERO, TimeGrid.uniform(horizon, 4), n, SeedSpec(11))
+            report = drift_expectation_check(bundle, alpha, x0)
+            oracle = x0 * math.exp(alpha * horizon)
+            assert report.target == pytest.approx(oracle, rel=1e-15), (alpha, x0, n)
+            assert report.estimate == pytest.approx(oracle, rel=1e-14), (alpha, x0, n)
+            assert report.passed, (alpha, x0, n)
 
     def test_negative_drift(self):
-        report = drift_expectation_check(-2.0, 1.0, UNIT, TimeGrid.uniform(1.0, 8), 100_000, SeedSpec(602))
+        report = drift_expectation_check(
+            stoch_exp_exact(UNIT, TimeGrid.uniform(1.0, 8), 100_000, SeedSpec(602)), -2.0, 1.0
+        )
         assert report.target == pytest.approx(math.exp(-2.0), rel=1e-15)
         assert report.passed
 
     def test_antithetic(self):
         report = drift_expectation_check(
-            0.5, 2.0, UNIT, TimeGrid.uniform(1.0, 8), 100_000, SeedSpec(603), antithetic=True
+            stoch_exp_exact(UNIT, TimeGrid.uniform(1.0, 8), 100_000, SeedSpec(603), antithetic=True), 0.5, 2.0
         )
         assert report.n == 50_000
         assert report.passed
+
+    def test_positive_start_required(self):
+        bundle = stoch_exp_exact(UNIT, TimeGrid.uniform(1.0, 2), 100, SeedSpec(11))
+        with pytest.raises(ValueError, match="x0"):
+            drift_expectation_check(bundle, 0.0, 0.0)
 
 
 def test_replicated_coverage_rate():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ddse.estimators import drift_expectation_check
 from ddse.integrand import DivergentIntegralError, IntegrandSpec, TimeGrid
 from ddse.paths import (
     PathBundle,
     SeedSpec,
     discrete_quad_var,
-    gbm_drift,
     increments_checksum,
     ito_integral,
     read_binary,
@@ -254,25 +254,28 @@ class TestStochExpEM:
 
 
 class TestGbmDrift:
+    """The drifted process x(t) = x0 exp(alpha t) z(t) on a noise-free bundle.
+
+    Its horizon value is formed by `drift_expectation_check`; with psi = 0
+    every path is the deterministic solution of dx = alpha x dt.
+    """
+
     def test_constant_when_driftless_and_noiseless(self):
-        paths = gbm_drift(0.0, 2.0, ZERO, TimeGrid.uniform(1.0, 4), 30, SEED)
-        assert np.array_equal(paths.x, np.full((30, 5), 2.0))
+        bundle = stoch_exp_exact(ZERO, TimeGrid.uniform(1.0, 4), 300, SEED)
+        assert np.array_equal(bundle.z, np.ones((300, 5)))
+        report = drift_expectation_check(bundle, 0.0, 2.0)
+        assert report.target == 2.0
+        assert report.estimate == 2.0
+        assert report.std_error == 0.0
+        assert report.passed
 
     def test_deterministic_decay_solution(self):
-        paths = gbm_drift(-1.0, 3.0, ZERO, TimeGrid.uniform(2.0, 4), 25, SEED)
+        bundle = stoch_exp_exact(ZERO, TimeGrid.uniform(2.0, 4), 250, SEED)
+        report = drift_expectation_check(bundle, -1.0, 3.0)
         oracle = 3.0 * math.exp(-2.0)
-        assert paths.x[:, -1] == pytest.approx(oracle, rel=1e-15)
-
-    def test_mean_tracks_exponential(self):
-        n = 100_000
-        paths = gbm_drift(1.0, 1.0, UNIT, TimeGrid.uniform(1.0, 8), n, SEED)
-        sample = paths.x[:, -1]
-        se = float(sample.std(ddof=1)) / math.sqrt(n)
-        assert abs(float(sample.mean()) - math.e) <= 3.0 * se
-
-    def test_positive_start_required(self):
-        with pytest.raises(ValueError, match="x0"):
-            gbm_drift(0.0, 0.0, UNIT, TimeGrid.uniform(1.0, 2), 10, SEED)
+        assert report.target == pytest.approx(oracle, rel=1e-15)
+        assert report.estimate == pytest.approx(oracle, rel=1e-15)
+        assert report.passed
 
 
 class TestExport:
