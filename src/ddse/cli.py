@@ -17,20 +17,15 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (
-    estimate_mean_z,
-    estimate_p_moment,
-    martingale_increment_test,
-    reports_to_csv,
-    submartingale_scan,
-)
+from .estimators import IncrementBins, NodeMoments, reports_to_csv
 from .integrand import DivergentIntegralError, IntegrandSpec, TimeGrid, novikov_check
 from .paths import (
     SCHEMES,
+    RowBlocks,
     SeedSpec,
     increments_checksum,
     stoch_exp_em,
@@ -196,16 +191,21 @@ def _atomic_path(path: str):
     """Yield a temp path beside ``path``, renamed over it if the block succeeds.
 
     If the block raises, the temp file is removed and ``path`` is untouched.
+    An OSError on the way is a ConfigError naming ``path``.
     """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
+    tmp = None
     try:
+        directory = os.path.dirname(path) or "."
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+        os.close(fd)
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -268,10 +268,43 @@ def _nearest_node(grid: TimeGrid, when: float) -> int:
 
 def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     out = sys.stdout if out is None else out
-    bundle = _build_bundle(config, workers)
-    horizon_index = bundle.n_nodes - 1
-    mean_report = estimate_mean_z(bundle, horizon_index)
-    moment_reports = [estimate_p_moment(bundle, horizon_index, p) for p in config.p_values]
+    euler = config.scheme == "em"
+    rows = RowBlocks(
+        config.psi, config.grid, config.n_paths, config.seed_spec, antithetic=config.antithetic, euler=euler
+    )
+    grid, qv = rows.grid, rows.quad_var
+    horizon_index = grid.t.size - 1
+    scan_ps = [p for p in config.p_values if p > 1]
+    # every verdict is a mean, so each row block is folded into per-node
+    # moments as it is generated and no path matrix is ever held
+    moments = NodeMoments(grid, qv, config.n_paths, config.p_values, config.antithetic)
+    # the moment profile is a law of the exact exponential: an Euler run
+    # also folds the exact z of the same rows for its scans
+    exact_moments = NodeMoments(grid, qv, config.n_paths, scan_ps, config.antithetic) if euler else moments
+    bins = None
+    if config.n_paths >= 10_000:
+        s_index = min(_nearest_node(grid, 0.5 * config.horizon), horizon_index - 1)
+        bins = IncrementBins(grid, qv, config.n_paths, s_index, horizon_index, n_bins=16)
+
+    def fold(block):
+        z = block.z if block.euler_z is None else block.euler_z
+        return (
+            moments.partials(z),
+            exact_moments.partials(block.z) if euler else None,
+            None if bins is None else bins.partials(block.ito, z),
+            int(np.count_nonzero(z <= 0.0)) if euler else 0,
+        )
+
+    for node_part, exact_part, bin_part, nonpositive in rows.map(fold, workers):
+        moments.merge(node_part)
+        moments.nonpositive_count += nonpositive
+        if euler:
+            exact_moments.merge(exact_part)
+        if bins is not None:
+            bins.merge(bin_part)
+
+    mean_report = moments.mean_z(horizon_index)
+    moment_reports = [moments.p_moment(horizon_index, p) for p in config.p_values]
     doc: dict = {
         "config": config.to_json_dict(),
         "mean_z": mean_report.to_json_dict(),
@@ -280,21 +313,15 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     }
     pass_flags = [mean_report.passed] + [r.passed for r in moment_reports]
 
-    if config.n_paths >= 10_000:
-        s_index = min(_nearest_node(bundle.grid, 0.5 * config.horizon), horizon_index - 1)
-        increment = martingale_increment_test(bundle, s_index, horizon_index, n_bins=16)
+    if bins is not None:
+        increment = bins.report()
         doc["increment_test"] = increment.to_json_dict()
         pass_flags.append(increment.passed)
     else:
         doc["increment_test"] = None
         doc["notes"].append("increment test skipped: needs at least 10000 paths")
 
-    scan_ps = [p for p in config.p_values if p > 1]
-    if scan_ps and config.scheme != "exact":
-        # the moment profile is a law of the exact exponential: an Euler run
-        # draws one exact bundle, on the same noise, for all of its scans
-        bundle = _build_bundle(replace(config, scheme="exact"), workers)
-    scans = [submartingale_scan(bundle, p) for p in scan_ps]
+    scans = [exact_moments.scan(p) for p in scan_ps]
     # exit status tracks the statistical comparisons; a flat closed-form
     # profile (monotone_pass false for psi = 0) is data, not a failure
     pass_flags.extend(scan.statistical_pass for scan in scans)

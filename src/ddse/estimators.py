@@ -1,14 +1,22 @@
-"""Statistical verdicts on path bundles: means, moments, martingale tests.
+"""Statistical verdicts on simulated paths: means, moments, martingale tests.
 
-Every verdict is a pure function of a PathBundle: sampling happens once,
-in ``paths``, and the same bundle can be judged by any number of checks.
+Every verdict is a mean, so it needs only per-node sums, never the path
+matrix.  Values are cut into fixed 8192-value slices; each slice gives its
+count, sum and centred sum of squares (two passes), and slices merge in
+index order by the pairwise rule of Chan, Golub & LeVeque ("Algorithms for
+computing the sample variance", Amer. Statist. 1983).  ``NodeMoments`` and
+``IncrementBins`` fold row blocks this way as ``paths.RowBlocks`` generates
+them; the functions that take a PathBundle run the very same fold over the
+bundle's rows, so a streamed verdict equals the bundle verdict field for
+field.  A mean is the sum of its slice sums, taken in one pairwise pass,
+so no result depends on row blocking or on how many threads sampled.
+
 Acceptance rules are fixed rather than configurable: point estimates pass
 when within 3 jackknife standard errors (plus a few ulps of rounding) of
 their closed-form target, and the binned conditional-expectation test uses
-a 4-standard-error threshold to absorb the multiplicity across bins.  Every
-reduction over paths runs on one thread through fixed-size block sums
-combined in index order, so a report does not depend on how many sampler
-threads built its bundle.
+a 4-standard-error threshold to absorb the multiplicity across bins.  A
+statistic that is not finite fails its check; it is written as null and
+the reason is noted.
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .integrand import DivergentIntegralError
-from .paths import PathBundle
+from .integrand import DivergentIntegralError, TimeGrid
+from .paths import _BLOCK_ROWS, PathBundle
 
 CONFIDENCE_SIGMAS = 3.0
 BIN_GAP_SIGMAS = 4.0
@@ -30,10 +39,73 @@ HEAVY_TAIL_QV = 3.0
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Reduction block: sums are taken over fixed 8192-element slices and the
+# Reduction slice: sums are taken over fixed 8192-value slices and the
 # per-slice partials combined in index order, which pins the floating-point
-# result for a given array.
-_SUM_BLOCK = 8192
+# result for a given array.  A row block holds two slices of row values, or
+# one of antithetic pair means, so blocks never split a slice.
+_SUM_BLOCK = _BLOCK_ROWS // 2
+
+
+# Arithmetic on values that overflow or are not finite stays silent: the
+# verdict built from them fails and says why (see _mean_report).
+_NONFINITE_OK = {"over": "ignore", "invalid": "ignore"}
+
+
+def _slice_moments(x: np.ndarray) -> list:
+    """(count, sum, centred sum of squares) of each slice along x's last axis."""
+    partials = []
+    for start in range(0, x.shape[-1], _SUM_BLOCK):
+        part = x[..., start : start + _SUM_BLOCK]
+        count = part.shape[-1]
+        with np.errstate(**_NONFINITE_OK):
+            total = np.sum(part, axis=-1)
+            dev = part - (total / count)[..., None]
+            np.multiply(dev, dev, out=dev)
+            partials.append((count, total, np.sum(dev, axis=-1)))
+    return partials
+
+
+class _Moments:
+    """Count, sum and centred sum of squares (M2) per entry, merged in order.
+
+    Entries may be scalars or arrays; counts may differ per entry and may be
+    zero (an empty bin), in which case that side of a merge contributes
+    nothing.  A sum is the pairwise sum of the slice sums, which is what
+    det_sum returns, so no mean depends on how the values were blocked.
+    """
+
+    def __init__(self, partials=()):
+        self.count = 0
+        self.m2 = 0.0
+        self._total = 0.0
+        self._sums: list = []
+        self.merge(partials)
+
+    def merge(self, partials):
+        for count, total, m2 in partials:
+            if self._sums:
+                n = self.count + count
+                with np.errstate(divide="ignore", **_NONFINITE_OK):
+                    delta = total / count - self._total / self.count
+                    merged = self.m2 + m2 + delta * delta * (self.count * count / n)
+                    self._total = self._total + total
+                m2 = np.where(self.count == 0, m2, np.where(count == 0, self.m2, merged))
+                self.count = n
+            else:
+                self.count, self._total = count, total
+            self.m2 = m2
+            self._sums.append(total)
+        return self
+
+    def sums(self):
+        with np.errstate(**_NONFINITE_OK):
+            return np.sum(np.stack(self._sums, axis=-1), axis=-1)
+
+    def mean_se(self):
+        """Mean and standard error of the mean, s / sqrt(n), per entry."""
+        n = self.count
+        with np.errstate(**_NONFINITE_OK):
+            return self.sums() / n, np.sqrt(self.m2 / (n * (n - 1.0)))
 
 
 def det_sum(x) -> float:
@@ -41,30 +113,34 @@ def det_sum(x) -> float:
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
     if x.size == 0:
         return 0.0
-    partials = [np.sum(x[s : s + _SUM_BLOCK]) for s in range(0, x.size, _SUM_BLOCK)]
-    return float(np.sum(np.asarray(partials)))
+    return float(_Moments(_slice_moments(x)).sums())
 
 
 def jackknife_mean_se(x) -> tuple[float, float]:
     """Sample mean and its leave-one-out jackknife standard error.
 
     For the mean the jackknife SE is exactly s / sqrt(n), so it is computed
-    in closed form from the centred sum of squares (two passes) rather than
-    from the n leave-one-out means.
+    in closed form from the slice moments rather than from the n
+    leave-one-out means.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    n = x.size
-    if n < 2:
+    if x.size < 2:
         raise ValueError("jackknife needs at least two observations")
-    mean = det_sum(x) / n
-    dev = x - mean
-    np.multiply(dev, dev, out=dev)
-    return mean, math.sqrt(det_sum(dev) / (n * (n - 1.0)))
+    mean, se = _Moments(_slice_moments(x)).mean_se()
+    return float(mean), float(se)
+
+
+def _finite_or_none(value: float):
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One point estimate with its 3-sigma interval and optional verdict."""
+    """One point estimate with its 3-sigma interval and optional verdict.
+
+    A non-finite estimate or standard error is kept as is and written to
+    JSON as null; its verdict is a failure.
+    """
 
     quantity: str
     n: int
@@ -78,9 +154,9 @@ class EstimateReport:
 
     def __post_init__(self):
         object.__setattr__(self, "notes", tuple(self.notes))
-        if not self.std_error >= 0.0:
+        if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
-        if not self.ci_low <= self.estimate <= self.ci_high:
+        if self.ci_low > self.estimate or self.estimate > self.ci_high:
             raise ValueError("confidence interval must bracket the estimate")
         if (self.target is None) != (self.passed is None):
             raise ValueError("pass verdict is present exactly when a target is")
@@ -89,30 +165,32 @@ class EstimateReport:
         return {
             "quantity": self.quantity,
             "n": self.n,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
+            "estimate": _finite_or_none(self.estimate),
+            "std_error": _finite_or_none(self.std_error),
+            "ci_low": _finite_or_none(self.ci_low),
+            "ci_high": _finite_or_none(self.ci_high),
             "target": self.target,
             "pass": self.passed,
             "notes": list(self.notes),
         }
 
 
-def _mean_report(quantity, x, target, notes) -> EstimateReport:
-    mean, se = jackknife_mean_se(x)
-    passed = None
-    if target is not None:
-        target = float(target)
-        # det_sum adds along a tree about log2 n deep, each add rounding by
-        # up to half an ulp, so even a noise-free sample (SE 0) can miss its
-        # target by a few ulps; the floor ceil(log2 n) eps |target| allows
-        # for that and stays far below any statistical tolerance
-        floor = math.ceil(math.log2(x.size)) * _EPS * abs(target)
+def _mean_report(quantity, n, mean, se, target, notes) -> EstimateReport:
+    mean, se, target = float(mean), float(se), float(target)
+    if math.isfinite(mean) and math.isfinite(se):
+        # the slice sums add along a tree about log2 n deep, each add
+        # rounding by up to half an ulp, so even a noise-free sample (SE 0)
+        # can miss its target by a few ulps; the floor ceil(log2 n) eps
+        # |target| allows for that and stays far below any statistical
+        # tolerance
+        floor = math.ceil(math.log2(n)) * _EPS * abs(target)
         passed = bool(abs(mean - target) <= CONFIDENCE_SIGMAS * se + floor)
+    else:
+        passed = False
+        notes.append(f"non-finite statistic: estimate {mean!r}, standard error {se!r}; check failed")
     return EstimateReport(
         quantity=quantity,
-        n=x.size,
+        n=n,
         estimate=mean,
         std_error=se,
         ci_low=mean - CONFIDENCE_SIGMAS * se,
@@ -123,41 +201,24 @@ def _mean_report(quantity, x, target, notes) -> EstimateReport:
     )
 
 
-def _check_node(bundle: PathBundle, t_index: int):
-    if not 0 <= t_index < bundle.n_nodes:
-        raise IndexError(f"node index {t_index} out of range for {bundle.n_nodes} nodes")
+def _check_node(n_nodes: int, t_index: int):
+    if not 0 <= t_index < n_nodes:
+        raise IndexError(f"node index {t_index} out of range for {n_nodes} nodes")
 
 
-def _node_column(bundle: PathBundle, t_index: int):
-    """(t, qv, z column) at a node of a bundle large enough for an SE."""
-    _check_node(bundle, t_index)
-    if bundle.n_paths < 100:
+def _check_paths(n_paths: int):
+    if n_paths < 100:
         raise ValueError("refusing to estimate from fewer than 100 paths; the standard error would be meaningless")
-    t = float(bundle.grid.t[t_index])
-    qv = float(bundle.quad_var[t_index])
-    return t, qv, np.ascontiguousarray(bundle.z[:, t_index])
 
 
-def _pair_means(x: np.ndarray, bundle: PathBundle, notes: list):
+def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
     # antithetic rows are mirrored pairs (2k, 2k+1); their means are the
     # iid observations the standard error is built from
-    if not bundle.antithetic:
-        return x
-    notes.append(f"antithetic: {x.size // 2} pair means over {x.size} paths")
-    return 0.5 * (x[0::2] + x[1::2])
+    return 0.5 * (x[..., 0::2] + x[..., 1::2]) if antithetic else x
 
 
-def estimate_mean_z(bundle: PathBundle, t_index: int) -> EstimateReport:
-    """Sample mean of z at a node against the martingale target 1."""
-    t, qv, z = _node_column(bundle, t_index)
-    notes: list[str] = []
-    x = _pair_means(z, bundle, notes)
-    if qv > HEAVY_TAIL_QV:
-        notes.append(
-            f"heavy-tail warning: accumulated squared integrand {qv:.6g} > {HEAVY_TAIL_QV:g},"
-            f" var z = exp(qv) - 1 makes 3-sigma coverage optimistic"
-        )
-    return _mean_report(f"mean_z@t={t:g}", x, 1.0, notes)
+def _pair_notes(n_paths: int, antithetic: bool) -> list[str]:
+    return [f"antithetic: {n_paths // 2} pair means over {n_paths} paths"] if antithetic else []
 
 
 def p_moment_targets(qv_values, p: float) -> np.ndarray:
@@ -171,34 +232,6 @@ def p_moment_targets(qv_values, p: float) -> np.ndarray:
     if not np.all(np.isfinite(targets)):
         raise DivergentIntegralError(f"p-th moment target at p = {p:g} overflows float64")
     return targets
-
-
-def estimate_p_moment(bundle: PathBundle, t_index: int, p: float) -> EstimateReport:
-    """Sample mean of |z|^p against exp(p(p-1) qv_N / 2).
-
-    The target uses the discrete compensator, which is exactly what the
-    sampler realizes, so the comparison is statistical rather than a
-    discretization check.  For p = 1 on a bundle with no nonpositive
-    entries this is the mean-z estimate, field for field.
-    """
-    if not p > 0:
-        raise ValueError("moment order p must be positive")
-    if p == 1 and bundle.nonpositive_count == 0:
-        return estimate_mean_z(bundle, t_index)
-    t, qv, z = _node_column(bundle, t_index)
-    notes: list[str] = []
-    x = _pair_means(np.abs(z) ** p, bundle, notes)
-    target = float(p_moment_targets(qv, p))
-    with np.errstate(over="ignore"):
-        second, first = np.exp(p * (2.0 * p - 1.0) * qv), np.exp(p * (p - 1.0) * qv)
-    # second >= first, so an infinite first term means an infinite variance
-    var_cf = float(second - first) if math.isfinite(first) else math.inf
-    se_cf = math.sqrt(var_cf / x.size) if math.isfinite(var_cf) else math.inf
-    notes.append(
-        f"variance oracle exp(p(2p-1)qv) - exp(p(p-1)qv) = {var_cf:.6g}"
-        f" gives closed-form SE {se_cf:.6g}"
-    )
-    return _mean_report(f"pth_moment@p={p:g};t={t:g}", x, target, notes)
 
 
 @dataclass(frozen=True)
@@ -229,6 +262,135 @@ class SubmartingaleScan:
         }
 
 
+class NodeMoments:
+    """Moments of z, and of |z|^p for each p in ``powers``, at every node.
+
+    ``partials(z)`` reduces a block of rows of z (rows x nodes) to slice
+    moments and may run on any thread; ``merge`` takes them in row order.
+    With ``antithetic`` the observations are the means of mirrored row
+    pairs.  ``nonpositive_count`` is the number of entries z <= 0 the
+    sampler produced: while it is zero the p = 1 moment is the mean of z.
+    """
+
+    def __init__(self, grid: TimeGrid, quad_var, n_paths: int, powers=(), antithetic: bool = False):
+        _check_paths(n_paths)
+        self.grid = grid
+        self.quad_var = np.asarray(quad_var, dtype=np.float64)
+        self.n_paths = n_paths
+        self.powers = tuple(powers)
+        self.antithetic = antithetic
+        self.nonpositive_count = 0
+        self._moments = [_Moments() for _ in range(1 + len(self.powers))]
+
+    @classmethod
+    def of_bundle(cls, bundle: PathBundle, powers=()) -> "NodeMoments":
+        moments = cls(bundle.grid, bundle.quad_var, bundle.n_paths, powers, bundle.antithetic)
+        for start in range(0, bundle.n_paths, _BLOCK_ROWS):
+            moments.merge(moments.partials(bundle.z[start : start + _BLOCK_ROWS]))
+        moments.nonpositive_count = bundle.nonpositive_count
+        return moments
+
+    def partials(self, z: np.ndarray) -> list:
+        zt = np.ascontiguousarray(np.transpose(z))
+        partials = [_slice_moments(_pair_means(zt, self.antithetic))]
+        for p in self.powers:  # one power of z alive at a time
+            with np.errstate(**_NONFINITE_OK):
+                values = _pair_means(np.abs(zt) ** p, self.antithetic)
+            partials.append(_slice_moments(values))
+        return partials
+
+    def merge(self, partials):
+        for moments, part in zip(self._moments, partials):
+            moments.merge(part)
+
+    def _node(self, t_index: int):
+        _check_node(self.grid.t.size, t_index)
+        return float(self.grid.t[t_index]), float(self.quad_var[t_index])
+
+    def _report(self, quantity_index: int, t_index: int, quantity: str, target: float, notes) -> EstimateReport:
+        moments = self._moments[quantity_index]
+        means, ses = moments.mean_se()
+        return _mean_report(quantity, moments.count, means[t_index], ses[t_index], target, notes)
+
+    def mean_z(self, t_index: int) -> EstimateReport:
+        """Sample mean of z at a node against the martingale target 1."""
+        t, qv = self._node(t_index)
+        notes = _pair_notes(self.n_paths, self.antithetic)
+        if qv > HEAVY_TAIL_QV:
+            notes.append(
+                f"heavy-tail warning: accumulated squared integrand {qv:.6g} > {HEAVY_TAIL_QV:g},"
+                f" var z = exp(qv) - 1 makes 3-sigma coverage optimistic"
+            )
+        return self._report(0, t_index, f"mean_z@t={t:g}", 1.0, notes)
+
+    def p_moment(self, t_index: int, p: float) -> EstimateReport:
+        """Sample mean of |z|^p at a node against exp(p(p-1) qv_N / 2)."""
+        if not p > 0:
+            raise ValueError("moment order p must be positive")
+        if p == 1 and self.nonpositive_count == 0:
+            return self.mean_z(t_index)
+        t, qv = self._node(t_index)
+        n = self.n_paths // 2 if self.antithetic else self.n_paths
+        with np.errstate(over="ignore"):
+            second, first = np.exp(p * (2.0 * p - 1.0) * qv), np.exp(p * (p - 1.0) * qv)
+        # second >= first, so an infinite first term means an infinite variance
+        var_cf = float(second - first) if math.isfinite(first) else math.inf
+        se_cf = math.sqrt(var_cf / n) if math.isfinite(var_cf) else math.inf
+        notes = _pair_notes(self.n_paths, self.antithetic) + [
+            f"variance oracle exp(p(2p-1)qv) - exp(p(p-1)qv) = {var_cf:.6g}"
+            f" gives closed-form SE {se_cf:.6g}"
+        ]
+        target = float(p_moment_targets(qv, p))
+        return self._report(1 + self.powers.index(p), t_index, f"pth_moment@p={p:g};t={t:g}", target, notes)
+
+    def scan(self, p: float) -> SubmartingaleScan:
+        """The p-th moment profile over every node; see ``submartingale_scan``."""
+        if not p > 1:
+            raise ValueError("submartingale scan requires p > 1")
+        t = self.grid.t
+        targets = p_moment_targets(self.quad_var, p)
+        diffs = np.diff(targets)
+        monotone = bool(np.all(diffs > 0.0))
+        notes: list[str] = []
+        if not monotone:
+            if np.all(diffs == 0.0):
+                notes.append("constant profile: closed-form targets are flat across all nodes")
+            else:
+                flat = np.flatnonzero(diffs <= 0.0)
+                notes.append(
+                    "non-strict target profile on steps "
+                    + ", ".join(f"{t[i]:g}->{t[i + 1]:g}" for i in flat)
+                )
+        reports = tuple(self.p_moment(j, p) for j in range(t.size))
+        return SubmartingaleScan(
+            p=float(p),
+            times=tuple(float(v) for v in t),
+            targets=tuple(float(v) for v in targets),
+            reports=reports,
+            monotone_pass=monotone,
+            statistical_pass=all(r.passed for r in reports),
+            notes=tuple(notes),
+        )
+
+
+def estimate_mean_z(bundle: PathBundle, t_index: int) -> EstimateReport:
+    """Sample mean of z at a node against the martingale target 1."""
+    return NodeMoments.of_bundle(bundle).mean_z(t_index)
+
+
+def estimate_p_moment(bundle: PathBundle, t_index: int, p: float) -> EstimateReport:
+    """Sample mean of |z|^p against exp(p(p-1) qv_N / 2).
+
+    The target uses the discrete compensator, which is exactly what the
+    sampler realizes, so the comparison is statistical rather than a
+    discretization check.  For p = 1 on a bundle with no nonpositive
+    entries this is the mean-z estimate, field for field.
+    """
+    if not p > 0:
+        raise ValueError("moment order p must be positive")
+    return NodeMoments.of_bundle(bundle, (p,)).p_moment(t_index, p)
+
+
 def submartingale_scan(bundle: PathBundle, p: float) -> SubmartingaleScan:
     """Verify a bundle's p-th moment profile increases and matches its samples.
 
@@ -239,30 +401,7 @@ def submartingale_scan(bundle: PathBundle, p: float) -> SubmartingaleScan:
     """
     if not p > 1:
         raise ValueError("submartingale scan requires p > 1")
-    grid = bundle.grid
-    targets = p_moment_targets(bundle.quad_var, p)
-    diffs = np.diff(targets)
-    monotone = bool(np.all(diffs > 0.0))
-    notes: list[str] = []
-    if not monotone:
-        if np.all(diffs == 0.0):
-            notes.append("constant profile: closed-form targets are flat across all nodes")
-        else:
-            flat = np.flatnonzero(diffs <= 0.0)
-            notes.append(
-                "non-strict target profile on steps "
-                + ", ".join(f"{grid.t[i]:g}->{grid.t[i + 1]:g}" for i in flat)
-            )
-    reports = tuple(estimate_p_moment(bundle, j, p) for j in range(grid.t.size))
-    return SubmartingaleScan(
-        p=float(p),
-        times=tuple(float(v) for v in grid.t),
-        targets=tuple(float(v) for v in targets),
-        reports=reports,
-        monotone_pass=monotone,
-        statistical_pass=all(r.passed for r in reports),
-        notes=tuple(notes),
-    )
+    return NodeMoments.of_bundle(bundle, (p,)).scan(p)
 
 
 @dataclass(frozen=True)
@@ -283,12 +422,106 @@ class MartingaleTestReport:
             "s": self.s,
             "t": self.t,
             "n_bins": self.n_bins,
-            "gaps": list(self.gaps),
-            "gaps_in_se": list(self.gaps_in_se),
-            "max_abs_gap_in_se": self.max_abs_gap_in_se,
+            "gaps": [_finite_or_none(v) for v in self.gaps],
+            "gaps_in_se": [_finite_or_none(v) for v in self.gaps_in_se],
+            "max_abs_gap_in_se": _finite_or_none(self.max_abs_gap_in_se),
             "pass": self.passed,
             "notes": list(self.notes),
         }
+
+
+class IncrementBins:
+    """Binned moments of z(t) - z(s), grouped by the Ito sum I(s).
+
+    I(s) is Normal(0, qv_N(s)) under both schemes, so the bin edges are its
+    exact quantiles sqrt(qv_N(s)) * Phi^-1(k / n_bins); for the exact scheme
+    that is binning on the quantiles of z(s) itself, with no sort.  As with
+    ``NodeMoments``, ``partials(ito, z)`` reduces a block of rows on any
+    thread and ``merge`` takes the blocks in row order.
+    """
+
+    def __init__(self, grid: TimeGrid, quad_var, n_paths: int, s_index: int, t_index: int, n_bins: int):
+        n_nodes = grid.t.size
+        _check_node(n_nodes, s_index)
+        _check_node(n_nodes, t_index)
+        if s_index >= t_index:
+            raise ValueError("increment test needs s_index < t_index")
+        if n_paths < 10_000:
+            raise ValueError("increment test needs at least 10000 paths for stable bin errors")
+        if not 4 <= n_bins <= 64:
+            raise ValueError("n_bins must lie in [4, 64]")
+        self.s = float(grid.t[s_index])
+        self.t = float(grid.t[t_index])
+        self.s_index = s_index
+        self.t_index = t_index
+        self.n_bins = n_bins
+        self.edges = np.sqrt(float(quad_var[s_index])) * ndtri(np.arange(1, n_bins) / n_bins)
+        self._bins = _Moments()
+
+    @classmethod
+    def of_bundle(cls, bundle: PathBundle, s_index: int, t_index: int, n_bins: int) -> "IncrementBins":
+        bins = cls(bundle.grid, bundle.quad_var, bundle.n_paths, s_index, t_index, n_bins)
+        bins.merge(bins.partials(bundle.ito, bundle.z))
+        return bins
+
+    def partials(self, ito: np.ndarray, z: np.ndarray) -> list:
+        idx = np.searchsorted(self.edges, ito[:, self.s_index], side="right")
+        partials = []
+        # only occupied bins are looked up, so empty ones may divide by 0
+        with np.errstate(divide="ignore", **_NONFINITE_OK):
+            d = z[:, self.t_index] - z[:, self.s_index]
+            for start in range(0, d.size, _SUM_BLOCK):
+                i, x = idx[start : start + _SUM_BLOCK], d[start : start + _SUM_BLOCK]
+                counts = np.bincount(i, minlength=self.n_bins)
+                total = np.bincount(i, weights=x, minlength=self.n_bins)
+                dev = x - (total / counts)[i]
+                partials.append((counts, total, np.bincount(i, weights=dev * dev, minlength=self.n_bins)))
+        return partials
+
+    def merge(self, partials):
+        self._bins.merge(partials)
+
+    def report(self) -> MartingaleTestReport:
+        n_bins = self.n_bins
+        counts, sums, m2 = self._bins.count, self._bins.sums(), self._bins.m2
+        # group consecutive bins until each group holds >= 2 paths
+        spans = []
+        start, acc = 0, 0
+        for b in range(n_bins):
+            acc += int(counts[b])
+            if acc >= 2:
+                spans.append((start, b))
+                start, acc = b + 1, 0
+        if start < n_bins:
+            if not spans:
+                raise ValueError("increment test needs at least 2 paths")
+            spans[-1] = (spans[-1][0], n_bins - 1)
+        notes = []
+        if len(spans) < n_bins:
+            notes.append(f"merged low-occupancy bins: {n_bins} requested -> {len(spans)} groups")
+        groups = [_Moments((counts[k], sums[k], m2[k]) for k in range(a, b + 1)) for a, b in spans]
+        cnt = np.array([g.count for g in groups], dtype=np.float64)
+        gaps = np.array([g.sums() for g in groups]) / cnt
+        var = np.array([g.m2 for g in groups]) / (cnt - 1.0)
+        se = np.sqrt(var / cnt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(gaps == 0.0, 0.0, np.abs(gaps) / se)
+        ratio = np.where(np.isnan(ratio), np.inf, ratio)
+        max_abs = float(np.max(ratio))
+        passed = bool(max_abs <= BIN_GAP_SIGMAS)
+        bad = np.count_nonzero(~(np.isfinite(gaps) & np.isfinite(ratio)))
+        if bad:
+            notes.append(f"non-finite statistic in {bad} of {len(spans)} groups (written as null); check failed")
+        return MartingaleTestReport(
+            s=self.s,
+            t=self.t,
+            n_bins=n_bins,
+            gaps=tuple(float(v) for v in gaps),
+            gaps_in_se=tuple(float(v) for v in ratio),
+            max_abs_gap_in_se=max_abs,
+            passed=passed,
+            notes=tuple(notes),
+        )
 
 
 def martingale_increment_test(
@@ -297,69 +530,16 @@ def martingale_increment_test(
     t_index: int,
     n_bins: int,
 ) -> MartingaleTestReport:
-    """Test E[z(t) - z(s) | z(s)] = 0 by quantile binning on z(s).
+    """Test E[z(t) - z(s) | I(s)] = 0 by binning on the Ito sum I(s).
 
-    No functional form is assumed: paths are grouped by quantiles of z(s)
-    and each group's mean increment is compared to zero in units of its own
-    standard error.  Passes when every gap is within 4 SE (Bonferroni slack
-    for up to 64 bins).  Bins emptied by ties are merged rightward into
-    their neighbour and the merge is noted.
+    No functional form is assumed: paths are grouped by the exact Gaussian
+    quantiles of I(s) (equivalently of z(s) for the exact scheme) and each
+    group's mean increment is compared to zero in units of its own standard
+    error.  Passes when every gap is within 4 SE (Bonferroni slack for up to
+    64 bins).  Bins emptied by ties are merged rightward into their
+    neighbour and the merge is noted.
     """
-    _check_node(bundle, s_index)
-    _check_node(bundle, t_index)
-    if s_index >= t_index:
-        raise ValueError("increment test needs s_index < t_index")
-    if bundle.n_paths < 10_000:
-        raise ValueError("increment test needs at least 10000 paths for stable bin errors")
-    if not 4 <= n_bins <= 64:
-        raise ValueError("n_bins must lie in [4, 64]")
-    zs = np.ascontiguousarray(bundle.z[:, s_index])
-    zt = np.ascontiguousarray(bundle.z[:, t_index])
-    edges = np.quantile(zs, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-    idx = np.searchsorted(edges, zs, side="right")
-    counts = np.bincount(idx, minlength=n_bins)
-
-    # group consecutive bins until each group holds >= 2 paths
-    spans = []
-    start, acc = 0, 0
-    for b in range(n_bins):
-        acc += int(counts[b])
-        if acc >= 2:
-            spans.append((start, b))
-            start, acc = b + 1, 0
-    if start < n_bins:
-        if not spans:
-            raise ValueError("increment test needs at least 2 paths")
-        spans[-1] = (spans[-1][0], n_bins - 1)
-    n_groups = len(spans)
-    notes = []
-    if n_groups < n_bins:
-        notes.append(f"merged low-occupancy bins: {n_bins} requested -> {n_groups} groups")
-    group_of = np.empty(n_bins, dtype=np.intp)
-    for g, (a, b) in enumerate(spans):
-        group_of[a : b + 1] = g
-    gidx = group_of[idx]
-
-    d = zt - zs
-    cnt = np.bincount(gidx, minlength=n_groups).astype(np.float64)
-    gaps = np.bincount(gidx, weights=d, minlength=n_groups) / cnt
-    resid = d - gaps[gidx]
-    var = np.bincount(gidx, weights=resid * resid, minlength=n_groups) / (cnt - 1.0)
-    se = np.sqrt(var / cnt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(gaps == 0.0, 0.0, np.abs(gaps) / se)
-    ratio = np.where(np.isnan(ratio), np.inf, ratio)
-    max_abs = float(np.max(ratio))
-    return MartingaleTestReport(
-        s=float(bundle.grid.t[s_index]),
-        t=float(bundle.grid.t[t_index]),
-        n_bins=n_bins,
-        gaps=tuple(float(v) for v in gaps),
-        gaps_in_se=tuple(float(v) for v in ratio),
-        max_abs_gap_in_se=max_abs,
-        passed=bool(max_abs <= BIN_GAP_SIGMAS),
-        notes=tuple(notes),
-    )
+    return IncrementBins.of_bundle(bundle, s_index, t_index, n_bins).report()
 
 
 def drift_expectation_check(bundle: PathBundle, alpha: float, x0: float) -> EstimateReport:
@@ -371,21 +551,30 @@ def drift_expectation_check(bundle: PathBundle, alpha: float, x0: float) -> Esti
     """
     if not x0 > 0:
         raise ValueError("x0 must be positive")
-    horizon, _, z = _node_column(bundle, bundle.n_nodes - 1)
+    _check_paths(bundle.n_paths)
+    horizon = float(bundle.grid.horizon)
     scale = x0 * math.exp(alpha * horizon)
-    notes: list[str] = []
-    x = _pair_means(scale * z, bundle, notes)
-    return _mean_report(f"mean_x@t={horizon:g}", x, scale, notes)
+    x = _pair_means(scale * bundle.z[:, -1], bundle.antithetic)
+    mean, se = jackknife_mean_se(x)
+    notes = _pair_notes(bundle.n_paths, bundle.antithetic)
+    return _mean_report(f"mean_x@t={horizon:g}", x.size, mean, se, scale, notes)
 
 
 def reports_to_csv(reports) -> str:
-    """Flat CSV, one row per estimate, shortest round-trip float text."""
+    """Flat CSV, one row per estimate, shortest round-trip float text.
+
+    A non-finite statistic is left empty, as JSON writes it as null.
+    """
+
+    def text(v):
+        return str(float(v)) if math.isfinite(v) else ""
+
     lines = ["quantity,n,estimate,se,ci_low,ci_high,target,pass"]
     for r in reports:
         target = "" if r.target is None else str(float(r.target))
         verdict = "" if r.passed is None else ("true" if r.passed else "false")
         lines.append(
-            f"{r.quantity},{r.n},{float(r.estimate)!s},{float(r.std_error)!s},"
-            f"{float(r.ci_low)!s},{float(r.ci_high)!s},{target},{verdict}"
+            f"{r.quantity},{r.n},{text(r.estimate)},{text(r.std_error)},"
+            f"{text(r.ci_low)},{text(r.ci_high)},{target},{verdict}"
         )
     return "\n".join(lines) + "\n"

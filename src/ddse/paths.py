@@ -4,11 +4,17 @@ Randomness contract: a counter-based generator (Philox) keyed by
 (seed, stream), with row r of the increment matrix drawn from counter
 blocks [r*bpr, (r+1)*bpr) where bpr = ceil(n_cols / 4) and one block
 yields four doubles.  A row's values therefore depend only on
-(seed, stream, row), never on chunking or worker count, and output is
+(seed, stream, row), never on blocking or worker count, and output is
 bit-identical across platforms and thread counts.  Normals come from the
 inverse CDF of those uniforms: fixed consumption of one uniform per
 normal, unlike rejection samplers whose draw count is data-dependent.
-"""
+
+There is one sampling pipeline: ``RowBlocks`` generates rows in fixed
+2^14-row blocks (increments, Ito sums, exact z and, for the Euler scheme,
+the Euler z), optionally on a thread pool.  ``stoch_exp_exact`` and
+``stoch_exp_em`` copy the blocks into a full PathBundle; a caller that only
+needs sums, such as ``ddse estimate``, folds each block as it comes and
+never holds the matrices."""
 
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ import hashlib
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -30,9 +37,11 @@ _U64_MAX = 2**64 - 1
 # disturbing any other value.
 _MIN_UNIFORM = 2.0**-54
 
-# Rows are generated in fixed slices of this size; the slicing only bounds
-# peak memory and parallel task grain, it cannot change the output.
-_ROW_CHUNK = 1 << 18
+# Rows are generated in fixed blocks of this many: twice the verdict layer's
+# 8192-value reduction slice, so a block holds whole slices of row values
+# and of antithetic pair means.  Blocking bounds memory and the grain of
+# parallel tasks; it cannot change a row.
+_BLOCK_ROWS = 1 << 14
 
 SCHEMES = ("exact", "em")
 _BINARY_MAGIC = b"DDSE"
@@ -53,28 +62,47 @@ class SeedSpec:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
 
-def _fill_standard_normals(target: np.ndarray, seed: SeedSpec, workers: int):
-    """Fill ``target`` (rows x cols, any strides) with standard normals.
+def _standard_normals(seed: SeedSpec, start: int, stop: int, out: np.ndarray):
+    """Write the standard normals of logical stream rows [start, stop) into ``out``."""
+    blocks_per_row = -(-out.shape[1] // 4)
+    bitgen = Philox(key=[seed.seed, seed.stream])
+    bitgen.advance(start * blocks_per_row)
+    u = Generator(bitgen).random((stop - start, 4 * blocks_per_row))[:, : out.shape[1]]
+    np.maximum(u, _MIN_UNIFORM, out=u)
+    ndtri(u, out=out)
 
-    Row i of ``target`` is logical row i of the (seed, stream) stream.
+
+def _increment_rows(grid: TimeGrid, seed: SeedSpec, antithetic: bool, start: int, out: np.ndarray):
+    """Write the Brownian increments of rows [start, start + len(out)) into ``out``.
+
+    Under ``antithetic`` both ends of the row range are even.
     """
-    n_rows, n_cols = target.shape
-    blocks_per_row = -(-n_cols // 4)
+    if antithetic:
+        _standard_normals(seed, start // 2, (start + len(out)) // 2, out[0::2])
+        np.negative(out[0::2], out=out[1::2])
+    else:
+        _standard_normals(seed, start, start + len(out), out)
+    out *= np.sqrt(grid.dt)
 
-    def run(start: int, stop: int):
-        bitgen = Philox(key=[seed.seed, seed.stream])
-        bitgen.advance(start * blocks_per_row)
-        u = Generator(bitgen).random((stop - start, 4 * blocks_per_row))[:, :n_cols]
-        np.maximum(u, _MIN_UNIFORM, out=u)
-        target[start:stop] = ndtri(u)
 
-    spans = [(s, min(s + _ROW_CHUNK, n_rows)) for s in range(0, n_rows, _ROW_CHUNK)]
+def _check_rows(n_paths: int, antithetic: bool):
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic sampling needs an even n_paths")
+
+
+def _map_blocks(task, n_rows: int, workers: int):
+    """task(start, stop) for each block of rows, results yielded in block order."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    spans = [(s, min(s + _BLOCK_ROWS, n_rows)) for s in range(0, n_rows, _BLOCK_ROWS)]
     if workers <= 1 or len(spans) == 1:
-        for start, stop in spans:
-            run(start, stop)
+        for span in spans:
+            yield task(*span)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: run(*span), spans))
+            yield from pool.map(lambda span: task(*span), spans)
 
 
 def sample_brownian(
@@ -90,29 +118,23 @@ def sample_brownian(
     the rows come in mirrored pairs (2k, 2k+1) sharing logical stream row k;
     n_paths must then be even.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_rows(n_paths, antithetic)
     increments = np.empty((n_paths, grid.n_steps))
-    if antithetic:
-        if n_paths % 2:
-            raise ValueError("antithetic sampling needs an even n_paths")
-        base = increments[0::2]
-        _fill_standard_normals(base, seed, workers)
-        np.negative(base, out=increments[1::2])
-    else:
-        _fill_standard_normals(increments, seed, workers)
-    increments *= np.sqrt(grid.dt)
+
+    def fill(start, stop):
+        _increment_rows(grid, seed, antithetic, start, increments[start:stop])
+
+    for _ in _map_blocks(fill, n_paths, workers):
+        pass
     return increments
 
 
-def ito_integral(spec: IntegrandSpec, increments: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def ito_integral(spec: IntegrandSpec, increments: np.ndarray, grid: TimeGrid, out=None) -> np.ndarray:
     """Cumulative left-endpoint sums I(t_j) = sum_{i<j} f(t_i) dB_i.
 
     Shape (n_paths, n_nodes); column 0 is zero.  Left endpoints keep the
     sums non-anticipating, so I(t_j) is exactly Gaussian with the discrete
-    variance sum_{i<j} f(t_i)^2 dt_i.
+    variance sum_{i<j} f(t_i)^2 dt_i.  Written into ``out`` when given.
     """
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] != grid.n_steps:
@@ -120,7 +142,7 @@ def ito_integral(spec: IntegrandSpec, increments: np.ndarray, grid: TimeGrid) ->
             f"increments shape {increments.shape} does not match grid with {grid.n_steps} steps"
         )
     left_values = spec.values(grid.t[:-1])
-    ito = np.empty((increments.shape[0], grid.t.size))
+    ito = np.empty((increments.shape[0], grid.t.size)) if out is None else out
     ito[:, 0] = 0.0
     np.cumsum(increments * left_values, axis=1, out=ito[:, 1:])
     return ito
@@ -194,6 +216,105 @@ def _require_finite_novikov(spec: IntegrandSpec, grid: TimeGrid):
         )
 
 
+class RowBlock(NamedTuple):
+    """Consecutive rows of a sample: increments, Ito sums, exact z, Euler z."""
+
+    increments: np.ndarray
+    ito: np.ndarray
+    z: np.ndarray
+    euler_z: np.ndarray | None
+
+
+class RowBlocks:
+    """A sample of the stochastic exponential, generated in fixed row blocks.
+
+    Each block holds the rows [start, stop) of the increment, Ito-sum and
+    exact-z matrices a full sampler would build, and with ``euler`` also the
+    Euler-scheme z on the same increments.  Rows depend only on
+    (seed, stream, row), so a block is the same whichever blocks come
+    before it or run beside it.  Refuses divergent integrands up front.
+    """
+
+    def __init__(
+        self,
+        spec: IntegrandSpec,
+        grid: TimeGrid,
+        n_paths: int,
+        seed: SeedSpec,
+        antithetic: bool = False,
+        euler: bool = False,
+    ):
+        _require_finite_novikov(spec, grid)
+        _check_rows(n_paths, antithetic)
+        self.spec = spec
+        self.grid = grid
+        self.n_paths = n_paths
+        self.seed = seed
+        self.antithetic = antithetic
+        self.euler = euler
+        self.quad_var = discrete_quad_var(spec, grid)
+        self.quad_var.setflags(write=False)
+
+    def _block(self, start: int, stop: int, out: RowBlock | None = None) -> RowBlock:
+        """Rows [start, stop), written into the arrays of ``out`` when given."""
+        if out is None:
+            rows, n_nodes = stop - start, self.grid.t.size
+            out = RowBlock(
+                np.empty((rows, self.grid.n_steps)),
+                np.empty((rows, n_nodes)),
+                np.empty((rows, n_nodes)),
+                np.empty((rows, n_nodes)) if self.euler else None,
+            )
+        _increment_rows(self.grid, self.seed, self.antithetic, start, out.increments)
+        ito_integral(self.spec, out.increments, self.grid, out=out.ito)
+        np.subtract(out.ito, 0.5 * self.quad_var, out=out.z)
+        np.exp(out.z, out=out.z)
+        if self.euler:
+            out.euler_z[:, 0] = 1.0
+            np.cumprod(1.0 + out.increments * self.spec.values(self.grid.t[:-1]), axis=1, out=out.euler_z[:, 1:])
+        return out
+
+    def map(self, fold, workers: int = 1):
+        """Yield fold(block) for each row block, in block order.
+
+        With more than one worker the blocks are generated and folded on a
+        thread pool; ``fold`` should return something small.
+        """
+        return _map_blocks(lambda start, stop: fold(self._block(start, stop)), self.n_paths, workers)
+
+    def bundle(self, workers: int = 1) -> PathBundle:
+        """All rows as one PathBundle (of the Euler z when ``euler``)."""
+        n_nodes = self.grid.t.size
+        increments = np.empty((self.n_paths, self.grid.n_steps))
+        ito = np.empty((self.n_paths, n_nodes))
+        z = np.empty((self.n_paths, n_nodes))
+
+        def fill(start, stop):
+            # each block writes straight into its rows of the full matrices;
+            # an Euler bundle keeps the Euler z and drops the exact one
+            rows = slice(start, stop)
+            if self.euler:
+                out = RowBlock(increments[rows], ito[rows], np.empty((stop - start, n_nodes)), z[rows])
+            else:
+                out = RowBlock(increments[rows], ito[rows], z[rows], None)
+            self._block(start, stop, out)
+
+        for _ in _map_blocks(fill, self.n_paths, workers):
+            pass
+        return PathBundle(
+            grid=self.grid,
+            n_paths=self.n_paths,
+            increments=increments,
+            ito=ito,
+            z=z,
+            quad_var=self.quad_var,
+            scheme="em" if self.euler else "exact",
+            seed=self.seed,
+            antithetic=self.antithetic,
+            nonpositive_count=int(np.count_nonzero(z <= 0.0)) if self.euler else 0,
+        )
+
+
 def stoch_exp_exact(
     spec: IntegrandSpec,
     grid: TimeGrid,
@@ -208,22 +329,7 @@ def stoch_exp_exact(
     exactly at every node and every step count, not just in the fine-grid
     limit.  Refuses divergent integrands up front.
     """
-    _require_finite_novikov(spec, grid)
-    increments = sample_brownian(grid, n_paths, seed, antithetic=antithetic, workers=workers)
-    ito = ito_integral(spec, increments, grid)
-    qv = discrete_quad_var(spec, grid)
-    z = np.exp(ito - 0.5 * qv)
-    return PathBundle(
-        grid=grid,
-        n_paths=n_paths,
-        increments=increments,
-        ito=ito,
-        z=z,
-        quad_var=qv,
-        scheme="exact",
-        seed=seed,
-        antithetic=antithetic,
-    )
+    return RowBlocks(spec, grid, n_paths, seed, antithetic).bundle(workers)
 
 
 def stoch_exp_em(
@@ -241,25 +347,7 @@ def stoch_exp_em(
     scheme's true output and are kept (clamping would bias the mean); the
     bundle records how many entries were nonpositive.
     """
-    _require_finite_novikov(spec, grid)
-    increments = sample_brownian(grid, n_paths, seed, antithetic=antithetic, workers=workers)
-    ito = ito_integral(spec, increments, grid)
-    qv = discrete_quad_var(spec, grid)
-    z = np.empty((n_paths, grid.t.size))
-    z[:, 0] = 1.0
-    np.cumprod(1.0 + increments * spec.values(grid.t[:-1]), axis=1, out=z[:, 1:])
-    return PathBundle(
-        grid=grid,
-        n_paths=n_paths,
-        increments=increments,
-        ito=ito,
-        z=z,
-        quad_var=qv,
-        scheme="em",
-        seed=seed,
-        antithetic=antithetic,
-        nonpositive_count=int(np.count_nonzero(z <= 0.0)),
-    )
+    return RowBlocks(spec, grid, n_paths, seed, antithetic, euler=True).bundle(workers)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_criterion_11_deterministic_reports(tmp_path):
     codes.append(main(["estimate", "--config", str(cfg_path), "--workers", "8"]))
     eight = report_path.read_bytes()
 
-    # 300k rows span two sampler slices, so eight workers run the thread pool
+    # 300k rows span 19 row blocks, so eight workers run the thread pool
     grid = TimeGrid.uniform(1.0, 2)
     serial, pooled = (stoch_exp_exact(UNIT, grid, 300_000, SeedSpec(12), workers=w) for w in (1, 8))
     api_same = estimate_mean_z(serial, 2) == estimate_mean_z(pooled, 2)

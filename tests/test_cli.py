@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,14 @@ from ddse.cli import (
     RunConfig,
     main,
 )
+from ddse.estimators import (
+    estimate_mean_z,
+    estimate_p_moment,
+    martingale_increment_test,
+    submartingale_scan,
+)
 from ddse.integrand import IntegrandSpec
+from ddse.paths import stoch_exp_em, stoch_exp_exact
 
 UNIT_PSI = {"kind": "constant", "params": [1.0]}
 ZERO_PSI = {"kind": "constant", "params": [0.0]}
@@ -222,8 +230,9 @@ class TestSimulate:
             raise OSError("disk full")
 
         monkeypatch.setattr(ddse.cli, "write_binary", broken)
-        with pytest.raises(OSError, match="disk full"):
-            main(["simulate", "--config", self.base_config(workdir)])
+        assert main(["simulate", "--config", self.base_config(workdir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write ") and "disk full" in err
         assert not [name for name in os.listdir(workdir / "out") if ".tmp" in name]
         assert not (workdir / "out" / "paths.bin").exists()
 
@@ -303,28 +312,118 @@ class TestEstimate:
         cfg = self.config(workdir, scheme="em", steps=32, seed=21, p_values=[1.0])
         assert main(["estimate", "--config", cfg]) == EXIT_OK
 
-    @pytest.mark.parametrize(
-        "scheme,expected",
-        [("exact", {"stoch_exp_exact": 1}), ("em", {"stoch_exp_em": 1, "stoch_exp_exact": 1})],
-    )
-    def test_each_law_is_sampled_once(self, workdir, capsys, monkeypatch, scheme, expected):
-        # count calls through every binding of the samplers in the package
-        calls = {}
-        for name in ("stoch_exp_exact", "stoch_exp_em"):
+    @pytest.mark.parametrize("scheme", ["exact", "em"])
+    def test_each_block_is_generated_once(self, workdir, capsys, monkeypatch, scheme):
+        # estimate streams row blocks: no full-matrix sampler may run, and
+        # each block is generated once, also when an Euler run scans the
+        # exact law on the same noise
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate built a full path matrix")
+
+        for name in ("stoch_exp_exact", "stoch_exp_em", "sample_brownian"):
             real = getattr(ddse.paths, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args, **kwargs)
-
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("ddse") and getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted)
-        cfg = self.config(workdir, scheme=scheme, p_values=[2.0, 3.0])
+                    monkeypatch.setattr(module, name, refuse)
+        blocks = []
+        real_block = ddse.paths.RowBlocks._block
+
+        def counted(self, start, stop):
+            blocks.append(start)
+            return real_block(self, start, stop)
+
+        monkeypatch.setattr(ddse.paths.RowBlocks, "_block", counted)
+        n_paths = 40_000
+        cfg = self.config(workdir, scheme=scheme, n_paths=n_paths, p_values=[2.0, 3.0])
         assert main(["estimate", "--config", cfg]) in (EXIT_OK, EXIT_STAT_FAIL)
-        assert calls == expected
+        assert sorted(blocks) == list(range(0, n_paths, ddse.paths._BLOCK_ROWS))
+        assert len(blocks) == math.ceil(n_paths / ddse.paths._BLOCK_ROWS)
         doc = json.loads((workdir / "out" / "report.json").read_text())
         assert [scan["p"] for scan in doc["scans"]] == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"antithetic": True}, {"scheme": "em"}], ids=["plain", "antithetic", "em"]
+    )
+    def test_report_invariant_to_workers_and_block_size(self, workdir, capsys, monkeypatch, extra):
+        # 70,000 rows make 5, 3 and 2 blocks at 2^14, 2^15 and 2^16 rows,
+        # so every multi-worker run below maps blocks over the thread pool
+        cfg = self.config(workdir, n_paths=70_000, steps=4, p_values=[0.5, 2.0, 3.0], **extra)
+        report = workdir / "out" / "report.json"
+        blobs = []
+        for workers in ("1", "2", "3"):
+            main(["estimate", "--config", cfg, "--workers", workers])
+            blobs.append(report.read_bytes())
+        for rows in (1 << 15, 1 << 16):
+            monkeypatch.setattr(ddse.paths, "_BLOCK_ROWS", rows)
+            main(["estimate", "--config", cfg, "--workers", "2"])
+            blobs.append(report.read_bytes())
+        assert all(blob == blobs[0] for blob in blobs)
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"antithetic": True}, {"scheme": "em"}], ids=["plain", "antithetic", "em"]
+    )
+    def test_streamed_report_matches_bundle_functions(self, workdir, capsys, extra):
+        # the CLI folds row blocks as they are generated; the library
+        # functions fold the rows of a full bundle; the two must agree
+        cfg = self.config(workdir, n_paths=40_000, p_values=[1.0, 2.0, 3.0], **extra)
+        assert main(["estimate", "--config", cfg]) in (EXIT_OK, EXIT_STAT_FAIL)
+        doc = json.loads((workdir / "out" / "report.json").read_text())
+        config = RunConfig.from_dict(json.loads(open(cfg).read()))
+        args = (config.psi, config.grid, config.n_paths, config.seed_spec, config.antithetic)
+        bundle = (stoch_exp_em if config.scheme == "em" else stoch_exp_exact)(*args)
+        exact = stoch_exp_exact(*args)
+        assert doc["mean_z"] == estimate_mean_z(bundle, 8).to_json_dict()
+        assert doc["p_moments"] == [estimate_p_moment(bundle, 8, p).to_json_dict() for p in config.p_values]
+        assert doc["increment_test"] == martingale_increment_test(bundle, 4, 8, 16).to_json_dict()
+        assert doc["scans"] == [submartingale_scan(exact, p).to_json_dict() for p in (2.0, 3.0)]
+
+    def test_nonfinite_statistic_is_a_failed_verdict(self, workdir, capsys):
+        # c = 40 drives z(s) and z(t) below the smallest double on most paths,
+        # so some increment groups have SE 0 and an infinite gap ratio
+        cfg = self.config(workdir, psi={"kind": "constant", "params": [40.0]}, p_values=[1.5])
+        code = main(["estimate", "--config", cfg])
+        assert code in (EXIT_OK, EXIT_STAT_FAIL)
+        doc = json.loads((workdir / "out" / "report.json").read_text(), parse_constant=reject_constant)
+        increment = doc["increment_test"]
+        assert increment["max_abs_gap_in_se"] is None
+        assert increment["pass"] is False
+        assert any(note.startswith("non-finite statistic") for note in increment["notes"])
+        assert code == EXIT_STAT_FAIL and doc["all_pass"] is False
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_unwritable_output_keeps_exit_contract(self, workdir, capsys, command):
+        taken = workdir / "taken"
+        taken.write_text("a regular file where the output directory should go\n")
+        cfg = self.config(workdir, n_paths=500, steps=4)
+        assert main([command, "--config", cfg, "--out", str(taken)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {taken}")
+        assert taken.read_text().startswith("a regular file")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_peak_memory_does_not_grow_with_paths(self, workdir):
+        # each child reports its own peak RSS; row blocks keep it flat, where
+        # full path matrices would add about 25 MB per 100,000 paths here.
+        # ru_maxrss outlives exec, so a child of a large test process would
+        # report the parent's peak; VmHWM counts the child's own pages only
+        probe = (
+            "import sys\n"
+            "from ddse.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "print(code, peak.split()[1])\n"
+        )
+        cfg = self.config(workdir, n_paths=1_000)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddse.__file__)))
+        peak_kb = []
+        for n_paths in (2**17, 2**20):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, "estimate", "--config", cfg, "--n-paths", str(n_paths)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            code, kb = done.stdout.split()[-2:]
+            assert int(code) in (EXIT_OK, EXIT_STAT_FAIL), done.stderr
+            peak_kb.append(int(kb))
+        assert peak_kb[1] - peak_kb[0] <= 32 * 1024, peak_kb
 
     @pytest.mark.parametrize(
         "level,code", [(10.0, None), (20.0, EXIT_DIVERGENT), (40.0, EXIT_DIVERGENT), (1e150, EXIT_DIVERGENT)]

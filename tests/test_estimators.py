@@ -1,6 +1,7 @@
 """Deterministic reductions, estimate reports, and the martingale test battery."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ddse.estimators import (
     EstimateReport,
+    IncrementBins,
     det_sum,
     drift_expectation_check,
     estimate_mean_z,
@@ -92,6 +94,18 @@ def test_jackknife_matches_classic_formula(values):
     assert mean == pytest.approx(float(np.mean(x)), rel=1e-12, abs=1e-12)
     classic = float(np.std(x, ddof=1)) / math.sqrt(x.size)
     assert se == pytest.approx(classic, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8193, 50_000, 100_003])
+def test_slice_merge_matches_two_pass_oracle(n):
+    # several 8192-value slices merged in order against one exact two-pass
+    # computation over the whole sample; the mean is det_sum's float
+    x = np.random.default_rng(n).lognormal(0.0, 1.5, size=n)
+    mean, se = jackknife_mean_se(x)
+    assert mean == det_sum(x) / n
+    centre = math.fsum(x) / n
+    oracle = math.sqrt(math.fsum((x - centre) ** 2) / (n * (n - 1.0)))
+    assert se == pytest.approx(oracle, rel=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
@@ -188,6 +202,18 @@ class TestEstimatePMoment:
         got = p_moment_targets(qv, 3.0)
         np.testing.assert_allclose(got, np.exp(3.0 * qv), rtol=1e-15)
 
+    def test_nonfinite_statistic_fails_and_writes_null(self):
+        bundle = stoch_exp_exact(UNIT, TimeGrid.uniform(1.0, 4), 500, SeedSpec(6))
+        z = bundle.z.copy()
+        z[7, 4] = np.inf
+        report = estimate_p_moment(rebuilt_with_z(bundle, z), 4, 2.0)
+        assert report.estimate == np.inf
+        assert report.passed is False
+        assert any(n.startswith("non-finite statistic") for n in report.notes)
+        doc = report.to_json_dict()
+        assert doc["estimate"] is None and doc["std_error"] is None and doc["pass"] is False
+        assert reports_to_csv([report]).splitlines()[1].endswith(",,,,2.718281828459045,false")
+
 
 def scan_of(spec, grid, p, n_paths, seed):
     return submartingale_scan(stoch_exp_exact(spec, grid, n_paths, seed), p)
@@ -241,6 +267,17 @@ class TestMartingaleIncrementTest:
         assert report.gaps_in_se == (0.0,)
         assert report.passed
         assert any("merged low-occupancy bins: 16 requested -> 1 groups" in n for n in report.notes)
+
+    def test_bins_are_gaussian_quantiles_of_the_ito_sum(self):
+        # I(s) ~ Normal(0, qv_N(s)) with qv_N(s) = 0.5 here, so each of the
+        # 16 bins holds 1/16 of the paths up to binomial noise
+        n = 160_000
+        bins = IncrementBins.of_bundle(stoch_exp_exact(UNIT, self.GRID, n, SeedSpec(77)), 8, 16, 16)
+        oracle = [NormalDist(0.0, math.sqrt(0.5)).inv_cdf(k / 16) for k in range(1, 16)]
+        np.testing.assert_allclose(bins.edges, oracle, rtol=1e-12, atol=1e-15)
+        sd = math.sqrt(n / 16 * (1 - 1 / 16))
+        assert all(abs(count - n / 16) <= 5 * sd for count in bins._bins.count)
+        assert bins.report().notes == ()
 
     def test_exact_scheme_passes(self):
         bundle = stoch_exp_exact(UNIT, self.GRID, 20_000, SeedSpec(402))

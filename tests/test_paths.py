@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ddse import paths
 from ddse.estimators import drift_expectation_check
 from ddse.integrand import DivergentIntegralError, IntegrandSpec, TimeGrid
 from ddse.paths import (
@@ -64,13 +65,28 @@ class TestSampleBrownian:
         base = sample_brownian(grid, 4000, SEED)
         for workers in (2, 3, 8):
             assert np.array_equal(sample_brownian(grid, 4000, SEED, workers=workers), base)
-        # above 2^18 generated rows the sampler splits into slices and, with
-        # more than one worker, runs them on its thread pool
+        # above 2^14 rows the sampler splits into row blocks and, with more
+        # than one worker, runs them on its thread pool
         grid = TimeGrid.uniform(1.0, 1)
         for antithetic in (False, True):
             one = sample_brownian(grid, 600_000, SEED, antithetic=antithetic, workers=1)
             three = sample_brownian(grid, 600_000, SEED, antithetic=antithetic, workers=3)
             assert one.tobytes() == three.tobytes()
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_row_blocking_invisible(self, monkeypatch, antithetic):
+        # blocks of 6 rows give the bytes that 2^14-row blocks give
+        grid = TimeGrid.uniform(1.0, 5)
+        exact = stoch_exp_exact(UNIT, grid, 100, SEED, antithetic=antithetic)
+        euler = stoch_exp_em(UNIT, grid, 100, SEED, antithetic=antithetic)
+        monkeypatch.setattr(paths, "_BLOCK_ROWS", 6)
+        for sampler, bundle in ((stoch_exp_exact, exact), (stoch_exp_em, euler)):
+            for workers in (1, 3):
+                small = sampler(UNIT, grid, 100, SEED, antithetic=antithetic, workers=workers)
+                for name in ("increments", "ito", "z"):
+                    assert getattr(small, name).tobytes() == getattr(bundle, name).tobytes()
+                assert small.nonpositive_count == bundle.nonpositive_count
+        assert sample_brownian(grid, 100, SEED, antithetic=antithetic).tobytes() == exact.increments.tobytes()
 
     def test_streams_and_seeds_differ(self):
         grid = TimeGrid.uniform(1.0, 4)
