@@ -279,8 +279,11 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     # moments as it is generated and no path matrix is ever held
     moments = NodeMoments(grid, qv, config.n_paths, config.p_values, config.antithetic)
     # the moment profile is a law of the exact exponential: an Euler run
-    # also folds the exact z of the same rows for its scans
-    exact_moments = NodeMoments(grid, qv, config.n_paths, scan_ps, config.antithetic) if euler else moments
+    # that scans also folds the exact z of the same rows
+    fold_exact = euler and bool(scan_ps)
+    exact_moments = moments
+    if fold_exact:
+        exact_moments = NodeMoments(grid, qv, config.n_paths, scan_ps, config.antithetic)
     bins = None
     if config.n_paths >= 10_000:
         s_index = min(_nearest_node(grid, 0.5 * config.horizon), horizon_index - 1)
@@ -290,7 +293,7 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
         z = block.z if block.euler_z is None else block.euler_z
         return (
             moments.partials(z),
-            exact_moments.partials(block.z) if euler else None,
+            exact_moments.partials(block.z) if fold_exact else None,
             None if bins is None else bins.partials(block.ito, z),
             int(np.count_nonzero(z <= 0.0)) if euler else 0,
         )
@@ -298,7 +301,7 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     for node_part, exact_part, bin_part, nonpositive in rows.map(fold, workers):
         moments.merge(node_part)
         moments.nonpositive_count += nonpositive
-        if euler:
+        if fold_exact:
             exact_moments.merge(exact_part)
         if bins is not None:
             bins.merge(bin_part)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +43,11 @@ _MIN_UNIFORM = 2.0**-54
 # and of antithetic pair means.  Blocking bounds memory and the grain of
 # parallel tasks; it cannot change a row.
 _BLOCK_ROWS = 1 << 14
+
+# write_csv formats this many paths at a time.  Larger chunks buy little
+# speed and hold more transient text: with 256-path chunks a 5000-path,
+# 33-node `simulate` peaked 2.5 MB (4%) higher.
+_CSV_CHUNK_PATHS = 32
 
 SCHEMES = ("exact", "em")
 _BINARY_MAGIC = b"DDSE"
@@ -93,7 +99,11 @@ def _check_rows(n_paths: int, antithetic: bool):
 
 
 def _map_blocks(task, n_rows: int, workers: int):
-    """task(start, stop) for each block of rows, results yielded in block order."""
+    """task(start, stop) for each block of rows, results yielded in block order.
+
+    On a pool at most 2 * workers blocks are submitted and not yet yielded,
+    so a slow consumer holds a bounded number of finished results.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     spans = [(s, min(s + _BLOCK_ROWS, n_rows)) for s in range(0, n_rows, _BLOCK_ROWS)]
@@ -102,7 +112,13 @@ def _map_blocks(task, n_rows: int, workers: int):
             yield task(*span)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(lambda span: task(*span), spans)
+            in_flight = deque()
+            for span in spans:
+                if len(in_flight) == 2 * workers:
+                    yield in_flight.popleft().result()
+                in_flight.append(pool.submit(task, *span))
+            while in_flight:
+                yield in_flight.popleft().result()
 
 
 def sample_brownian(
@@ -356,25 +372,33 @@ def stoch_exp_em(
 
 def increments_checksum(bundle: PathBundle) -> str:
     """SHA-256 of the increment matrix as row-major little-endian doubles."""
-    data = np.ascontiguousarray(bundle.increments, dtype="<f8")
-    return hashlib.sha256(data.tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(bundle.increments, dtype="<f8").data).hexdigest()
 
 
 def write_csv(bundle: PathBundle, path):
     """Columnar dump, one row per (path, node): path_id,node_index,t,B,I,Z.
 
     Floats use the shortest round-trip decimal form, so re-reading
-    reproduces the doubles bit-for-bit and golden files are stable.
+    reproduces the doubles bit-for-bit and golden files are stable.  That
+    form is Python's float repr, which numpy's float64 str also gives.
+    Paths are formatted a few at a time, from one list of floats per
+    column, and B is summed from the increments of those paths only.
     """
-    b = bundle.brownian()
-    t_text = [str(float(v)) for v in bundle.grid.t]
+    n_nodes = bundle.n_nodes
+    leads = [f",{j},{t!r}," for j, t in enumerate(bundle.grid.t.tolist())]
+    brownian = np.empty((min(_CSV_CHUNK_PATHS, bundle.n_paths), n_nodes))
+    brownian[:, 0] = 0.0
     with open(path, "w", newline="") as fh:
         fh.write("path_id,node_index,t,B,I,Z\n")
-        for p in range(bundle.n_paths):
-            for j in range(bundle.n_nodes):
-                fh.write(
-                    f"{p},{j},{t_text[j]},{b[p, j]!s},{bundle.ito[p, j]!s},{bundle.z[p, j]!s}\n"
-                )
+        for start in range(0, bundle.n_paths, _CSV_CHUNK_PATHS):
+            stop = min(start + _CSV_CHUNK_PATHS, bundle.n_paths)
+            chunk_b = brownian[: stop - start]
+            np.cumsum(bundle.increments[start:stop], axis=1, out=chunk_b[:, 1:])
+            heads = [f"{p}{lead}" for p in range(start, stop) for lead in leads]
+            b_text, i_text, z_text = (
+                map(repr, c.ravel().tolist()) for c in (chunk_b, bundle.ito[start:stop], bundle.z[start:stop])
+            )
+            fh.write("".join([f"{h}{b},{i},{z}\n" for h, b, i, z in zip(heads, b_text, i_text, z_text)]))
 
 
 _HEADER = struct.Struct("<4sBBBBQQQQ")
@@ -400,7 +424,7 @@ def write_binary(bundle: PathBundle, path):
     with open(path, "wb") as fh:
         fh.write(header)
         for arr in (bundle.grid.t, bundle.quad_var, bundle.increments, bundle.ito, bundle.z):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def read_binary(path) -> PathBundle:

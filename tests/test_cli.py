@@ -11,6 +11,7 @@ import pytest
 
 import ddse
 import ddse.cli
+import ddse.estimators
 from ddse.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENT,
@@ -341,6 +342,26 @@ class TestEstimate:
         doc = json.loads((workdir / "out" / "report.json").read_text())
         assert [scan["p"] for scan in doc["scans"]] == [2.0, 3.0]
 
+    @pytest.mark.parametrize("scheme,p_values,calls", [
+        ("exact", [0.5], 1),
+        ("exact", [0.5, 2.0], 1),
+        ("em", [0.5], 1),
+        ("em", [0.5, 2.0], 2),
+    ])
+    def test_euler_run_folds_exact_z_only_to_scan(self, workdir, capsys, monkeypatch, scheme, p_values, calls):
+        # the exact z of an Euler run feeds only the scans, which need a p > 1
+        folded = []
+        real_partials = ddse.estimators.NodeMoments.partials
+
+        def counted(self, z):
+            folded.append(self.powers)
+            return real_partials(self, z)
+
+        monkeypatch.setattr(ddse.estimators.NodeMoments, "partials", counted)
+        cfg = self.config(workdir, scheme=scheme, n_paths=2_000, p_values=p_values)
+        assert main(["estimate", "--config", cfg]) in (EXIT_OK, EXIT_STAT_FAIL)
+        assert len(folded) == calls
+
     @pytest.mark.parametrize(
         "extra", [{}, {"antithetic": True}, {"scheme": "em"}], ids=["plain", "antithetic", "em"]
     )
@@ -515,6 +536,45 @@ class TestGolden:
         assert main(argv + ["--config", cfg]) == EXIT_OK
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == self.DIGESTS[argv[0]]
+
+    # paths.csv, paths.bin, manifest.json of a 40-path, 8-step simulate run
+    SIMULATE_DIGESTS = {
+        "exact": (
+            "b14d64e58ace4c63238221f44bcdd753ab68a78a34deddb428cb49d887292ed8",
+            "c1bcdcefed375d749555d45f310117bc4dbf345677f7a6ca6ccb361524d6cd75",
+            "51f633503f8effdb13483537dc5387cfaf9fb464f18bc5cdedcd7abb25fafe13",
+        ),
+        "em": (
+            "0c9e3407c30416ed04c2c0a9a4cec00a1883038353694809b6ad3953144f750d",
+            "0617013fa3258af8fe76636d2787918cb57755d80342385d465e1d616400d2a1",
+            "8a77319876384ad5a0b09c1488fa1738a23dfdb0fa5693cdb760918027a6d5be",
+        ),
+        "antithetic": (
+            "5e8a64e36fc5edb479c3452163c6b42767264206b398ab0d49dbcd2ddada46bf",
+            "3c4c20571721e8b6afbbe4840186bbf818368254dd30af07516b972fca972c51",
+            "c9ad4e5984b0de1d2ac537dc33eac54a5f9eeaa14c19b37a94b2fe428c8dd6b3",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic"])
+    def test_simulate_output_digests(self, workdir, capsys, mode):
+        extra = {"em": {"scheme": "em"}, "antithetic": {"antithetic": True}}.get(mode, {})
+        cfg = write_config(
+            workdir / "c.json",
+            psi={"kind": "tabulated", "table": self.TABLE},
+            horizon=1.0,
+            steps=8,
+            n_paths=40,
+            seed=2024,
+            output_dir="out",
+            **extra,
+        )
+        assert main(["simulate", "--config", cfg]) == EXIT_OK
+        digests = tuple(
+            hashlib.sha256((workdir / "out" / name).read_bytes()).hexdigest()
+            for name in ("paths.csv", "paths.bin", "manifest.json")
+        )
+        assert digests == self.SIMULATE_DIGESTS[mode]
 
 
 class TestImports:

@@ -1,9 +1,14 @@
 """Sampling contracts: determinism, coupling, marginal laws, export formats."""
 
 import math
+import struct
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ddse import paths
@@ -31,6 +36,17 @@ MEAN_TOL = 4.0e-3
 VAR_RTOL = 0.01
 
 SEED = SeedSpec(1234)
+
+
+def reference_write_csv(bundle, path):
+    """The per-cell writer that write_csv replaced, kept as its byte oracle."""
+    b = bundle.brownian()
+    t_text = [str(float(v)) for v in bundle.grid.t]
+    with open(path, "w", newline="") as fh:
+        fh.write("path_id,node_index,t,B,I,Z\n")
+        for p in range(bundle.n_paths):
+            for j in range(bundle.n_nodes):
+                fh.write(f"{p},{j},{t_text[j]},{b[p, j]!s},{bundle.ito[p, j]!s},{bundle.z[p, j]!s}\n")
 
 
 class TestSeedSpec:
@@ -119,6 +135,31 @@ class TestSampleBrownian:
             sample_brownian(grid, 0, SEED)
         with pytest.raises(ValueError):
             sample_brownian(grid, 4, SEED, workers=0)
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_keeps_a_bounded_window_in_block_order(self, monkeypatch, workers):
+        # a slow consumer lets the pool run ahead as far as it may; blocks
+        # started but not yet consumed must stay within 2 * workers
+        monkeypatch.setattr(paths, "_BLOCK_ROWS", 4)
+        lock = threading.Lock()
+        started = []
+
+        def task(start, stop):
+            with lock:
+                started.append(start)
+            return start, stop
+
+        seen, peak = [], 0
+        for span in paths._map_blocks(task, 4 * 40 + 3, workers):
+            seen.append(span)
+            time.sleep(0.002)
+            with lock:
+                peak = max(peak, len(started) - len(seen))
+        assert seen == [(s, min(s + 4, 163)) for s in range(0, 163, 4)]
+        assert sorted(started) == [s for s, _ in seen]
+        assert peak <= 2 * workers
 
 
 class TestItoIntegral:
@@ -319,6 +360,55 @@ class TestExport:
         write_csv(bundle, out)
         for line in out.read_text().splitlines()[1:]:
             assert line.rsplit(",", 1)[1] == "1.0"
+
+    @pytest.mark.parametrize("n_paths", [1, 31, 32, 33, 257])
+    @pytest.mark.parametrize(
+        "sampler,antithetic", [(stoch_exp_exact, False), (stoch_exp_em, False), (stoch_exp_exact, True)]
+    )
+    def test_csv_bytes_match_per_cell_writer(self, tmp_path, n_paths, sampler, antithetic):
+        # chunk edges fall at multiples of 32 paths
+        if antithetic and n_paths % 2:
+            n_paths += 1
+        spec, grid = IntegrandSpec.exponential_decay(1.0, 0.5), TimeGrid.uniform(1.0, 7)
+        bundle = sampler(spec, grid, n_paths, SEED, antithetic)
+        write_csv(bundle, tmp_path / "new.csv")
+        reference_write_csv(bundle, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "sampler,spec",
+        [
+            # z falls far below 1e-4, where its text turns to exponent form
+            (stoch_exp_exact, IntegrandSpec.constant(40.0)),
+            # coarse Euler steps with a large integrand go nonpositive
+            (stoch_exp_em, IntegrandSpec.constant(3.0)),
+        ],
+    )
+    def test_csv_bytes_match_per_cell_writer_at_extremes(self, tmp_path, sampler, spec):
+        bundle = sampler(spec, TimeGrid.uniform(1.0, 4), 70, SEED)
+        write_csv(bundle, tmp_path / "new.csv")
+        reference_write_csv(bundle, tmp_path / "old.csv")
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "old.csv").read_text()
+        if sampler is stoch_exp_em:
+            assert bundle.nonpositive_count > 0
+        else:
+            assert any("e-" in line.rsplit(",", 1)[1] for line in text.splitlines())
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def test_float_repr_is_numpy_str(self, bits):
+        # write_csv formats Python floats; the per-cell writer formatted
+        # numpy scalars: every double, NaNs, infinities, signed zeros and
+        # subnormals included, must give the same text
+        (x,) = struct.unpack("<d", struct.pack("<Q", bits))
+        assert repr(x) == str(np.float64(x))
+
+    @pytest.mark.parametrize(
+        "x", [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e16, 1e-5]
+    )
+    def test_float_repr_is_numpy_str_at_special_values(self, x):
+        assert repr(float(x)) == str(np.float64(x))
 
     def test_binary_round_trip(self, bundle, tmp_path):
         out = tmp_path / "paths.bin"
