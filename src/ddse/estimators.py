@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .integrand import DivergentIntegralError, TimeGrid
-from .paths import _BLOCK_ROWS, PathBundle
+from .paths import _BLOCK_ROWS, PathBundle, _Scratch
 
 CONFIDENCE_SIGMAS = 3.0
 BIN_GAP_SIGMAS = 4.0
@@ -51,15 +51,20 @@ _SUM_BLOCK = _BLOCK_ROWS // 2
 _NONFINITE_OK = {"over": "ignore", "invalid": "ignore"}
 
 
-def _slice_moments(x: np.ndarray) -> list:
-    """(count, sum, centred sum of squares) of each slice along x's last axis."""
+def _slice_moments(x: np.ndarray, scratch: _Scratch | None = None) -> list:
+    """(count, sum, centred sum of squares) of each slice along x's last axis.
+
+    The deviations go into a buffer of ``scratch``, or of a fresh one.
+    """
+    scratch = _Scratch() if scratch is None else scratch
     partials = []
     for start in range(0, x.shape[-1], _SUM_BLOCK):
         part = x[..., start : start + _SUM_BLOCK]
         count = part.shape[-1]
+        dev = scratch.take("deviations", part.shape)
         with np.errstate(**_NONFINITE_OK):
             total = np.sum(part, axis=-1)
-            dev = part - (total / count)[..., None]
+            np.subtract(part, (total / count)[..., None], out=dev)
             np.multiply(dev, dev, out=dev)
             partials.append((count, total, np.sum(dev, axis=-1)))
     return partials
@@ -211,10 +216,14 @@ def _check_paths(n_paths: int):
         raise ValueError("refusing to estimate from fewer than 100 paths; the standard error would be meaningless")
 
 
-def _pair_means(x: np.ndarray, antithetic: bool) -> np.ndarray:
+def _pair_means(x: np.ndarray, antithetic: bool, out=None) -> np.ndarray:
     # antithetic rows are mirrored pairs (2k, 2k+1); their means are the
-    # iid observations the standard error is built from
-    return 0.5 * (x[..., 0::2] + x[..., 1::2]) if antithetic else x
+    # iid observations the standard error is built from, written into
+    # ``out`` when given
+    if not antithetic:
+        return x
+    out = np.add(x[..., 0::2], x[..., 1::2], out=out)
+    return np.multiply(out, 0.5, out=out)
 
 
 def _pair_notes(n_paths: int, antithetic: bool) -> list[str]:
@@ -266,7 +275,8 @@ class NodeMoments:
     """Moments of z, and of |z|^p for each p in ``powers``, at every node.
 
     ``partials(z)`` reduces a block of rows of z (rows x nodes) to slice
-    moments and may run on any thread; ``merge`` takes them in row order.
+    moments and may run on any thread, in arrays each thread reuses from
+    block to block; ``merge`` takes them in row order.
     With ``antithetic`` the observations are the means of mirrored row
     pairs.  ``nonpositive_count`` is the number of entries z <= 0 the
     sampler produced: while it is zero the p = 1 moment is the mean of z.
@@ -281,6 +291,7 @@ class NodeMoments:
         self.antithetic = antithetic
         self.nonpositive_count = 0
         self._moments = [_Moments() for _ in range(1 + len(self.powers))]
+        self._scratch = _Scratch()
 
     @classmethod
     def of_bundle(cls, bundle: PathBundle, powers=()) -> "NodeMoments":
@@ -291,12 +302,20 @@ class NodeMoments:
         return moments
 
     def partials(self, z: np.ndarray) -> list:
-        zt = np.ascontiguousarray(np.transpose(z))
-        partials = [_slice_moments(_pair_means(zt, self.antithetic))]
+        scratch = self._scratch
+        zt = scratch.take("zt", z.shape[::-1])
+        np.copyto(zt, np.transpose(z))
+        pairs = scratch.take("pairs", (zt.shape[0], zt.shape[1] // 2)) if self.antithetic else None
+        partials = [_slice_moments(_pair_means(zt, self.antithetic, pairs), scratch)]
         for p in self.powers:  # one power of z alive at a time
+            values = scratch.take("power", zt.shape)
+            np.abs(zt, out=values)
             with np.errstate(**_NONFINITE_OK):
-                values = _pair_means(np.abs(zt) ** p, self.antithetic)
-            partials.append(_slice_moments(values))
+                # in place, ``**=`` picks the ufunc ``**`` would (square for
+                # p = 2, sqrt for p = 0.5, power otherwise)
+                values **= p
+                values = _pair_means(values, self.antithetic, pairs)
+            partials.append(_slice_moments(values, scratch))
         return partials
 
     def merge(self, partials):

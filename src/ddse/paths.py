@@ -14,12 +14,20 @@ There is one sampling pipeline: ``RowBlocks`` generates rows in fixed
 the Euler z), optionally on a thread pool.  ``stoch_exp_exact`` and
 ``stoch_exp_em`` copy the blocks into a full PathBundle; a caller that only
 needs sums, such as ``ddse estimate``, folds each block as it comes and
-never holds the matrices."""
+never holds the matrices.
+
+A folded block lives in arrays that its thread reuses for every block it
+generates (one set per thread, freed when the thread ends), and each step
+writes into them in place: a block costs no fresh memory, so the pages are
+not given back to the system and faulted in again block after block.  The
+same operations run on the same operands, so no value changes."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,26 +76,58 @@ class SeedSpec:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
 
-def _standard_normals(seed: SeedSpec, start: int, stop: int, out: np.ndarray):
-    """Write the standard normals of logical stream rows [start, stop) into ``out``."""
+class _Scratch(threading.local):
+    """Float64 arrays that a thread reuses from one block to the next.
+
+    Every thread sees its own buffers, freed when the thread ends.
+    ``take(name, shape)`` gives a C-contiguous array of ``shape`` cut from
+    the front of the thread's buffer ``name``, which grows when too small;
+    it holds whatever the thread last wrote there.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
+def _standard_normals(seed: SeedSpec, start: int, stop: int, out: np.ndarray, scratch: _Scratch):
+    """Write the standard normals of logical stream rows [start, stop) into ``out``.
+
+    The uniforms are drawn straight into ``out`` when its rows are
+    contiguous and a whole number of counter blocks wide, else into
+    ``scratch``.
+    """
     blocks_per_row = -(-out.shape[1] // 4)
     bitgen = Philox(key=[seed.seed, seed.stream])
     bitgen.advance(start * blocks_per_row)
-    u = Generator(bitgen).random((stop - start, 4 * blocks_per_row))[:, : out.shape[1]]
+    if 4 * blocks_per_row == out.shape[1] and out.flags.c_contiguous:
+        u = out
+    else:
+        u = scratch.take("uniforms", (stop - start, 4 * blocks_per_row))
+    Generator(bitgen).random(out=u)
+    u = u[:, : out.shape[1]]
     np.maximum(u, _MIN_UNIFORM, out=u)
     ndtri(u, out=out)
 
 
-def _increment_rows(grid: TimeGrid, seed: SeedSpec, antithetic: bool, start: int, out: np.ndarray):
+def _increment_rows(
+    grid: TimeGrid, seed: SeedSpec, antithetic: bool, start: int, out: np.ndarray, scratch: _Scratch
+):
     """Write the Brownian increments of rows [start, start + len(out)) into ``out``.
 
     Under ``antithetic`` both ends of the row range are even.
     """
     if antithetic:
-        _standard_normals(seed, start // 2, (start + len(out)) // 2, out[0::2])
+        _standard_normals(seed, start // 2, (start + len(out)) // 2, out[0::2], scratch)
         np.negative(out[0::2], out=out[1::2])
     else:
-        _standard_normals(seed, start, start + len(out), out)
+        _standard_normals(seed, start, start + len(out), out, scratch)
     out *= np.sqrt(grid.dt)
 
 
@@ -136,9 +176,10 @@ def sample_brownian(
     """
     _check_rows(n_paths, antithetic)
     increments = np.empty((n_paths, grid.n_steps))
+    scratch = _Scratch()
 
     def fill(start, stop):
-        _increment_rows(grid, seed, antithetic, start, increments[start:stop])
+        _increment_rows(grid, seed, antithetic, start, increments[start:stop], scratch)
 
     for _ in _map_blocks(fill, n_paths, workers):
         pass
@@ -160,7 +201,8 @@ def ito_integral(spec: IntegrandSpec, increments: np.ndarray, grid: TimeGrid, ou
     left_values = spec.values(grid.t[:-1])
     ito = np.empty((increments.shape[0], grid.t.size)) if out is None else out
     ito[:, 0] = 0.0
-    np.cumsum(increments * left_values, axis=1, out=ito[:, 1:])
+    np.multiply(increments, left_values, out=ito[:, 1:])
+    np.cumsum(ito[:, 1:], axis=1, out=ito[:, 1:])
     return ito
 
 
@@ -270,31 +312,43 @@ class RowBlocks:
         self.euler = euler
         self.quad_var = discrete_quad_var(spec, grid)
         self.quad_var.setflags(write=False)
+        self._scratch = _Scratch()
 
     def _block(self, start: int, stop: int, out: RowBlock | None = None) -> RowBlock:
-        """Rows [start, stop), written into the arrays of ``out`` when given."""
+        """Rows [start, stop), written into the arrays of ``out`` when given.
+
+        Without ``out`` the rows go into the block arrays the calling thread
+        reuses (their leading rows for a short block), which the thread's
+        next block overwrites: take what is needed from them before the
+        thread generates another block, and keep no reference to them.
+        """
         if out is None:
-            rows, n_nodes = stop - start, self.grid.t.size
+            take, rows, n_nodes = self._scratch.take, stop - start, self.grid.t.size
             out = RowBlock(
-                np.empty((rows, self.grid.n_steps)),
-                np.empty((rows, n_nodes)),
-                np.empty((rows, n_nodes)),
-                np.empty((rows, n_nodes)) if self.euler else None,
+                take("increments", (rows, self.grid.n_steps)),
+                take("ito", (rows, n_nodes)),
+                take("z", (rows, n_nodes)),
+                take("euler_z", (rows, n_nodes)) if self.euler else None,
             )
-        _increment_rows(self.grid, self.seed, self.antithetic, start, out.increments)
+        _increment_rows(self.grid, self.seed, self.antithetic, start, out.increments, self._scratch)
         ito_integral(self.spec, out.increments, self.grid, out=out.ito)
         np.subtract(out.ito, 0.5 * self.quad_var, out=out.z)
         np.exp(out.z, out=out.z)
         if self.euler:
+            steps = out.euler_z[:, 1:]
             out.euler_z[:, 0] = 1.0
-            np.cumprod(1.0 + out.increments * self.spec.values(self.grid.t[:-1]), axis=1, out=out.euler_z[:, 1:])
+            np.multiply(out.increments, self.spec.values(self.grid.t[:-1]), out=steps)
+            np.add(steps, 1.0, out=steps)
+            np.cumprod(steps, axis=1, out=steps)
         return out
 
     def map(self, fold, workers: int = 1):
         """Yield fold(block) for each row block, in block order.
 
         With more than one worker the blocks are generated and folded on a
-        thread pool; ``fold`` should return something small.
+        thread pool.  A block's arrays are reused for the next block its
+        thread generates, so ``fold`` must not keep them, nor any view of
+        them: it should return fresh reductions, and small ones.
         """
         return _map_blocks(lambda start, stop: fold(self._block(start, stop)), self.n_paths, workers)
 
@@ -307,10 +361,12 @@ class RowBlocks:
 
         def fill(start, stop):
             # each block writes straight into its rows of the full matrices;
-            # an Euler bundle keeps the Euler z and drops the exact one
+            # an Euler bundle keeps the Euler z and writes the exact one into
+            # a throwaway array its thread reuses
             rows = slice(start, stop)
             if self.euler:
-                out = RowBlock(increments[rows], ito[rows], np.empty((stop - start, n_nodes)), z[rows])
+                throwaway = self._scratch.take("z", (stop - start, n_nodes))
+                out = RowBlock(increments[rows], ito[rows], throwaway, z[rows])
             else:
                 out = RowBlock(increments[rows], ito[rows], z[rows], None)
             self._block(start, stop, out)

@@ -446,6 +446,34 @@ class TestEstimate:
             peak_kb.append(int(kb))
         assert peak_kb[1] - peak_kb[0] <= 32 * 1024, peak_kb
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux getrusage fault counts")
+    def test_page_faults_do_not_grow_with_paths(self, workdir):
+        # each child reports its own minor page faults; row blocks generated
+        # and folded in arrays each thread reuses keep the count flat, where
+        # arrays allocated afresh for every block fault in their pages again
+        # (about 114,000 more faults at 2^19 paths than at 2^17 on a 2-vCPU Xeon)
+        probe = (
+            "import resource, sys\n"
+            "from ddse.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+        )
+        steps = 32
+        cfg = self.config(workdir, n_paths=1_000, steps=steps, p_values=[2.0, 3.0])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddse.__file__)))
+        faults = []
+        for n_paths in (2**17, 2**19):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, "estimate", "--config", cfg, "--n-paths", str(n_paths)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            code, count = done.stdout.split()[-2:]
+            assert int(code) in (EXIT_OK, EXIT_STAT_FAIL), done.stderr
+            faults.append(int(count))
+        # fewer than the pages of one block of z
+        block_pages = ddse.paths._BLOCK_ROWS * (steps + 1) * 8 // os.sysconf("SC_PAGE_SIZE")
+        assert faults[1] - faults[0] < block_pages, faults
+
     @pytest.mark.parametrize(
         "level,code", [(10.0, None), (20.0, EXIT_DIVERGENT), (40.0, EXIT_DIVERGENT), (1e150, EXIT_DIVERGENT)]
     )
@@ -555,6 +583,32 @@ class TestGolden:
             "c9ad4e5984b0de1d2ac537dc33eac54a5f9eeaa14c19b37a94b2fe428c8dd6b3",
         ),
     }
+
+    # report.json of a 40,000-path, 8-step estimate run (a short last block)
+    ESTIMATE_DIGESTS = {
+        "exact": "9ff19a3f13ff1b0e506f6fb81a474f2a26a688d51da3ecd1b4bd726f75770776",
+        "em": "dffd46af3df762d385e6af0ec555368eb1d1ac8ea5ae2d6716c677ea991c2aca",
+        "antithetic": "c367a92965af174a5b6cd09898f7de25e68055171796d380093bf230ffb1538f",
+    }
+
+    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic"])
+    def test_estimate_report_digests(self, workdir, capsys, mode):
+        extra = {"em": {"scheme": "em"}, "antithetic": {"antithetic": True}}.get(mode, {})
+        cfg = write_config(
+            workdir / "c.json",
+            psi={"kind": "tabulated", "table": self.TABLE},
+            horizon=1.0,
+            steps=8,
+            n_paths=40_000,
+            seed=2024,
+            output_dir="out",
+            **extra,
+        )
+        for workers in ("1", "2"):
+            argv = ["estimate", "--config", cfg, "--p", "0.5", "--p", "2", "--p", "3", "--workers", workers]
+            assert main(argv) in (EXIT_OK, EXIT_STAT_FAIL)
+            digest = hashlib.sha256((workdir / "out" / "report.json").read_bytes()).hexdigest()
+            assert digest == self.ESTIMATE_DIGESTS[mode], workers
 
     @pytest.mark.parametrize("mode", ["exact", "em", "antithetic"])
     def test_simulate_output_digests(self, workdir, capsys, mode):

@@ -1,7 +1,9 @@
 """Sampling contracts: determinism, coupling, marginal laws, export formats."""
 
+import hashlib
 import math
 import struct
+import sys
 import threading
 import time
 
@@ -160,6 +162,46 @@ class TestMapBlocks:
         assert seen == [(s, min(s + 4, 163)) for s in range(0, 163, 4)]
         assert sorted(started) == [s for s, _ in seen]
         assert peak <= 2 * workers
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [5, 8])
+    @pytest.mark.parametrize(
+        "antithetic,euler", [(False, False), (True, False), (False, True)], ids=["plain", "antithetic", "euler"]
+    )
+    def test_fold_sees_its_own_block_in_reused_arrays(self, monkeypatch, workers, steps, antithetic, euler):
+        # map writes each block into arrays its thread reuses; a fold that
+        # dawdles must still see its own rows, not those of a block another
+        # thread, or its own thread's next block, wrote into the same arrays.
+        # 5 steps draw the uniforms through scratch, 8 straight into the block
+        rows = 8
+        monkeypatch.setattr(paths, "_BLOCK_ROWS", rows)
+        n_paths = 7 * rows + 2
+        grid = TimeGrid.uniform(1.0, steps)
+        blocks = paths.RowBlocks(UNIT, grid, n_paths, SEED, antithetic=antithetic, euler=euler)
+
+        def digests(block):
+            return [None if a is None else hashlib.sha256(a.tobytes()).hexdigest() for a in block]
+
+        def fold(block):
+            time.sleep(0.003)
+            return digests(block)
+
+        fresh = []
+        for start in range(0, n_paths, rows):
+            shape = (min(rows, n_paths - start), steps + 1)
+            out = paths.RowBlock(
+                np.empty((shape[0], steps)), np.empty(shape), np.empty(shape), np.empty(shape) if euler else None
+            )
+            fresh.append(digests(blocks._block(start, start + shape[0], out=out)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            folded = list(blocks.map(fold, workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert folded == fresh
 
 
 class TestItoIntegral:
