@@ -279,11 +279,12 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     # moments as it is generated and no path matrix is ever held
     moments = NodeMoments(grid, qv, config.n_paths, config.p_values, config.antithetic)
     # the moment profile is a law of the exact exponential: an Euler run
-    # that scans also folds the exact z of the same rows
+    # that scans also folds the exact z of the same rows, right after the
+    # Euler z and so in the same per-thread buffers
     fold_exact = euler and bool(scan_ps)
     exact_moments = moments
     if fold_exact:
-        exact_moments = NodeMoments(grid, qv, config.n_paths, scan_ps, config.antithetic)
+        exact_moments = NodeMoments(grid, qv, config.n_paths, scan_ps, config.antithetic, moments.scratch)
     bins = None
     if config.n_paths >= 10_000:
         s_index = min(_nearest_node(grid, 0.5 * config.horizon), horizon_index - 1)

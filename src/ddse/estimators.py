@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .integrand import DivergentIntegralError, TimeGrid
-from .paths import _BLOCK_ROWS, PathBundle, _Scratch
+from .paths import _BLOCK_ROWS, PathBundle, _copy_transposed, _Scratch
 
 CONFIDENCE_SIGMAS = 3.0
 BIN_GAP_SIGMAS = 4.0
@@ -51,23 +51,26 @@ _SUM_BLOCK = _BLOCK_ROWS // 2
 _NONFINITE_OK = {"over": "ignore", "invalid": "ignore"}
 
 
-def _slice_moments(x: np.ndarray, scratch: _Scratch | None = None) -> list:
-    """(count, sum, centred sum of squares) of each slice along x's last axis.
+def _moments_of(part: np.ndarray, dev: np.ndarray) -> tuple:
+    """(count, sum, centred sum of squares) of one slice along part's last axis.
 
-    The deviations go into a buffer of ``scratch``, or of a fresh one.
+    The deviations are written into ``dev``, which may be ``part`` itself.
     """
-    scratch = _Scratch() if scratch is None else scratch
-    partials = []
-    for start in range(0, x.shape[-1], _SUM_BLOCK):
-        part = x[..., start : start + _SUM_BLOCK]
-        count = part.shape[-1]
-        dev = scratch.take("deviations", part.shape)
-        with np.errstate(**_NONFINITE_OK):
-            total = np.sum(part, axis=-1)
-            np.subtract(part, (total / count)[..., None], out=dev)
-            np.multiply(dev, dev, out=dev)
-            partials.append((count, total, np.sum(dev, axis=-1)))
-    return partials
+    count = part.shape[-1]
+    with np.errstate(**_NONFINITE_OK):
+        total = np.sum(part, axis=-1)
+        np.subtract(part, (total / count)[..., None], out=dev)
+        np.multiply(dev, dev, out=dev)
+        return count, total, np.sum(dev, axis=-1)
+
+
+def _slice_moments(x: np.ndarray) -> list:
+    """``_moments_of`` each slice of a 1-D x, in index order."""
+    dev = np.empty(min(x.size, _SUM_BLOCK))
+    return [
+        _moments_of(x[start : start + _SUM_BLOCK], dev[: min(_SUM_BLOCK, x.size - start)])
+        for start in range(0, x.size, _SUM_BLOCK)
+    ]
 
 
 class _Moments:
@@ -271,18 +274,32 @@ class SubmartingaleScan:
         }
 
 
+def _abs_power(rows: np.ndarray, p: float, scratch: _Scratch) -> np.ndarray:
+    """|rows|^p, in the slice buffer of ``scratch``."""
+    values = scratch.take("slice", rows.shape)
+    np.abs(rows, out=values)
+    # in place, ``**=`` picks the ufunc ``**`` would (square for p = 2,
+    # sqrt for p = 0.5, power otherwise)
+    values **= p
+    return values
+
+
 class NodeMoments:
     """Moments of z, and of |z|^p for each p in ``powers``, at every node.
 
     ``partials(z)`` reduces a block of rows of z (rows x nodes) to slice
     moments and may run on any thread, in arrays each thread reuses from
-    block to block; ``merge`` takes them in row order.
+    block to block; ``merge`` takes them in row order.  Those arrays live
+    in ``scratch``: folds that run one after the other on a thread, as an
+    Euler run's folds of its Euler and exact z do, can share one.
     With ``antithetic`` the observations are the means of mirrored row
     pairs.  ``nonpositive_count`` is the number of entries z <= 0 the
     sampler produced: while it is zero the p = 1 moment is the mean of z.
     """
 
-    def __init__(self, grid: TimeGrid, quad_var, n_paths: int, powers=(), antithetic: bool = False):
+    def __init__(
+        self, grid: TimeGrid, quad_var, n_paths: int, powers=(), antithetic: bool = False, scratch=None
+    ):
         _check_paths(n_paths)
         self.grid = grid
         self.quad_var = np.asarray(quad_var, dtype=np.float64)
@@ -291,7 +308,7 @@ class NodeMoments:
         self.antithetic = antithetic
         self.nonpositive_count = 0
         self._moments = [_Moments() for _ in range(1 + len(self.powers))]
-        self._scratch = _Scratch()
+        self.scratch = _Scratch() if scratch is None else scratch
 
     @classmethod
     def of_bundle(cls, bundle: PathBundle, powers=()) -> "NodeMoments":
@@ -302,20 +319,40 @@ class NodeMoments:
         return moments
 
     def partials(self, z: np.ndarray) -> list:
-        scratch = self._scratch
-        zt = scratch.take("zt", z.shape[::-1])
-        np.copyto(zt, np.transpose(z))
-        pairs = scratch.take("pairs", (zt.shape[0], zt.shape[1] // 2)) if self.antithetic else None
-        partials = [_slice_moments(_pair_means(zt, self.antithetic, pairs), scratch)]
-        for p in self.powers:  # one power of z alive at a time
-            values = scratch.take("power", zt.shape)
-            np.abs(zt, out=values)
+        """Slice moments of z and of each |z|^p, per quantity in slice order.
+
+        z is read in place through ``np.transpose(z)`` when that is
+        C-contiguous, as for the node-major z of a ``RowBlocks`` block.  A
+        row-major z, such as a bundle's rows, is first copied node-major
+        into a buffer of ``scratch``.  The rest happens one slice of
+        observations at a time, in a (nodes, 8192) buffer of ``scratch``
+        (and, under ``antithetic``, a second one for the pair means).
+        """
+        scratch = self.scratch
+        zt = np.transpose(z)
+        if not zt.flags.c_contiguous:
+            zt = _copy_transposed(scratch.take("zt", zt.shape), z)
+        n_nodes, per_obs = zt.shape[0], 2 if self.antithetic else 1
+        partials = [[] for _ in range(1 + len(self.powers))]
+        for start in range(0, zt.shape[1], per_obs * _SUM_BLOCK):
+            rows = zt[:, start : start + per_obs * _SUM_BLOCK]
+            count = rows.shape[1] // per_obs
             with np.errstate(**_NONFINITE_OK):
-                # in place, ``**=`` picks the ufunc ``**`` would (square for
-                # p = 2, sqrt for p = 0.5, power otherwise)
-                values **= p
-                values = _pair_means(values, self.antithetic, pairs)
-            partials.append(_slice_moments(values, scratch))
+                if self.antithetic:
+                    pairs = _pair_means(rows, True, scratch.take("pairs", (n_nodes, count)))
+                    partials[0].append(_moments_of(pairs, pairs))
+                else:
+                    partials[0].append(_moments_of(rows, scratch.take("slice", (n_nodes, count))))
+                for moments, p in zip(partials[1:], self.powers):
+                    if self.antithetic:
+                        # the pair means of |z|^p, from half a slice of rows at a time
+                        for half in range(0, rows.shape[1], _SUM_BLOCK):
+                            values = _abs_power(rows[:, half : half + _SUM_BLOCK], p, scratch)
+                            _pair_means(values, True, pairs[:, half // 2 : (half + values.shape[1]) // 2])
+                        values = pairs
+                    else:
+                        values = _abs_power(rows, p, scratch)
+                    moments.append(_moments_of(values, values))
         return partials
 
     def merge(self, partials):

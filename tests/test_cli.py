@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -420,10 +421,8 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith(f"config error: cannot write {taken}")
         assert taken.read_text().startswith("a regular file")
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-    def test_peak_memory_does_not_grow_with_paths(self, workdir):
-        # each child reports its own peak RSS; row blocks keep it flat, where
-        # full path matrices would add about 25 MB per 100,000 paths here.
+    @staticmethod
+    def child_peak_kb(*argv):
         # ru_maxrss outlives exec, so a child of a large test process would
         # report the parent's peak; VmHWM counts the child's own pages only
         probe = (
@@ -433,18 +432,65 @@ class TestEstimate:
             "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
             "print(code, peak.split()[1])\n"
         )
-        cfg = self.config(workdir, n_paths=1_000)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddse.__file__)))
-        peak_kb = []
-        for n_paths in (2**17, 2**20):
-            done = subprocess.run(
-                [sys.executable, "-c", probe, "estimate", "--config", cfg, "--n-paths", str(n_paths)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            code, kb = done.stdout.split()[-2:]
-            assert int(code) in (EXIT_OK, EXIT_STAT_FAIL), done.stderr
-            peak_kb.append(int(kb))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        code, kb = done.stdout.split()[-2:]
+        assert int(code) in (EXIT_OK, EXIT_STAT_FAIL), done.stderr
+        return int(kb)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_peak_memory_does_not_grow_with_paths(self, workdir):
+        # each child reports its own peak RSS; row blocks keep it flat, where
+        # full path matrices would add about 25 MB per 100,000 paths here
+        cfg = self.config(workdir, n_paths=1_000)
+        peak_kb = [
+            self.child_peak_kb("estimate", "--config", cfg, "--n-paths", str(n_paths)) for n_paths in (2**17, 2**20)
+        ]
         assert peak_kb[1] - peak_kb[0] <= 32 * 1024, peak_kb
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_euler_scan_peak_memory_adds_one_z_array(self, workdir):
+        # an Euler run that scans folds its Euler z and the exact z of each
+        # block one after the other, in one set of fold buffers per thread:
+        # its peak may pass the exact run's by the block's second z array
+        # (plus 2 MB), not by a second set of fold buffers (about 15 MB
+        # over the exact peak when each fold kept its own)
+        steps = 32
+        cfg = self.config(workdir, n_paths=2**16, steps=steps, p_values=[2.0, 3.0])
+        exact, em = (self.child_peak_kb("estimate", "--config", cfg, "--scheme", s) for s in ("exact", "em"))
+        z_kb = ddse.paths._BLOCK_ROWS * (steps + 1) * 8 // 1024
+        assert em - exact <= z_kb + 2 * 1024, (exact, em)
+
+    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic"])
+    def test_thread_buffers_hold_one_block_and_one_slice(self, workdir, capsys, monkeypatch, mode):
+        # a thread's buffers hold one block's increments, Ito sums and z and
+        # one (nodes, 8192) reduction slice: no transposed copy of z, no
+        # block-sized |z|^p and no second set for a second fold
+        peak = {}
+        real_take = ddse.paths._Scratch.take
+
+        def take(scratch, name, shape):
+            key = (id(scratch), threading.get_ident(), name)
+            peak[key] = max(peak.get(key, 0), 8 * math.prod(shape))
+            return real_take(scratch, name, shape)
+
+        monkeypatch.setattr(ddse.paths._Scratch, "take", take)
+        rows, steps, slice_size = ddse.paths._BLOCK_ROWS, 32, ddse.estimators._SUM_BLOCK
+        nodes = steps + 1
+        extra = {"em": {"scheme": "em"}, "antithetic": {"antithetic": True}}.get(mode, {})
+        cfg = self.config(workdir, n_paths=rows, steps=steps, p_values=[2.0, 3.0], **extra)
+        assert main(["estimate", "--config", cfg]) in (EXIT_OK, EXIT_STAT_FAIL)
+        more = {
+            "exact": 0,
+            # the Euler z beside the exact z, which the scans fold
+            "em": rows * nodes,
+            # a slice of pair means, and the uniforms of the half rows drawn
+            "antithetic": nodes * slice_size + rows // 2 * steps,
+        }[mode]
+        bound = 8 * (rows * (steps + 2 * nodes) + nodes * slice_size + more)
+        assert sum(peak.values()) <= bound, peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux getrusage fault counts")
     def test_page_faults_do_not_grow_with_paths(self, workdir):
@@ -584,21 +630,26 @@ class TestGolden:
         ),
     }
 
-    # report.json of a 40,000-path, 8-step estimate run (a short last block)
+    # report.json of a 40,000-path estimate run (a short last block), with
+    # 8 steps, or with 5, whose rows are not a whole number of four-double
+    # counter blocks wide, so the uniforms are drawn through a scratch array
     ESTIMATE_DIGESTS = {
         "exact": "9ff19a3f13ff1b0e506f6fb81a474f2a26a688d51da3ecd1b4bd726f75770776",
         "em": "dffd46af3df762d385e6af0ec555368eb1d1ac8ea5ae2d6716c677ea991c2aca",
         "antithetic": "c367a92965af174a5b6cd09898f7de25e68055171796d380093bf230ffb1538f",
+        "exact-steps5": "45f6bb928a3e30101252a1d4a71e9cd112ffad222402709f0a3a646ab5fa2d00",
+        "antithetic-steps5": "1c1d555f99667c73170a8bb386db516cd91f55a39fa1590b636fc20b5c99dafa",
     }
 
-    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic"])
+    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic", "exact-steps5", "antithetic-steps5"])
     def test_estimate_report_digests(self, workdir, capsys, mode):
-        extra = {"em": {"scheme": "em"}, "antithetic": {"antithetic": True}}.get(mode, {})
+        scheme, _, steps = mode.partition("-steps")
+        extra = {"em": {"scheme": "em"}, "antithetic": {"antithetic": True}}.get(scheme, {})
         cfg = write_config(
             workdir / "c.json",
             psi={"kind": "tabulated", "table": self.TABLE},
             horizon=1.0,
-            steps=8,
+            steps=int(steps or 8),
             n_paths=40_000,
             seed=2024,
             output_dir="out",

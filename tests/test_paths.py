@@ -203,6 +203,18 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
         assert folded == fresh
 
+    def test_folded_z_is_node_major(self):
+        # a folded block's z arrays keep the (rows, nodes) shape, but each
+        # node's values are one contiguous run, so a fold needs no transpose
+        grid = TimeGrid.uniform(1.0, 8)
+        blocks = paths.RowBlocks(UNIT, grid, 20_000, SEED, euler=True)
+
+        def layout(block):
+            return [(z.shape, np.transpose(z).flags.c_contiguous) for z in (block.z, block.euler_z)]
+
+        rows = [paths._BLOCK_ROWS, 20_000 - paths._BLOCK_ROWS]
+        assert list(blocks.map(layout)) == [[((n, 9), True)] * 2 for n in rows]
+
 
 class TestItoIntegral:
     def test_zero_integrand_zero_integral(self):
