@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import IncrementBins, NodeMoments, reports_to_csv
+from .estimators import _INCREMENT_MIN_PATHS, IncrementBins, NodeMoments, reports_to_csv
 from .integrand import DivergentIntegralError, IntegrandSpec, TimeGrid, novikov_check
 from .paths import (
     SCHEMES,
@@ -286,7 +286,7 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     if fold_exact:
         exact_moments = NodeMoments(grid, qv, config.n_paths, scan_ps, config.antithetic, moments.scratch)
     bins = None
-    if config.n_paths >= 10_000:
+    if config.n_paths >= _INCREMENT_MIN_PATHS:
         s_index = min(_nearest_node(grid, 0.5 * config.horizon), horizon_index - 1)
         bins = IncrementBins(grid, qv, config.n_paths, s_index, horizon_index, n_bins=16)
 
@@ -309,38 +309,38 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
 
     mean_report = moments.mean_z(horizon_index)
     moment_reports = [moments.p_moment(horizon_index, p) for p in config.p_values]
+    # every check of the report, in report order: all_pass, the exit code
+    # and the rows of report.csv all come from this one list
+    checks = [mean_report, *moment_reports]
     doc: dict = {
         "config": config.to_json_dict(),
         "mean_z": mean_report.to_json_dict(),
         "p_moments": [r.to_json_dict() for r in moment_reports],
         "notes": [],
     }
-    pass_flags = [mean_report.passed] + [r.passed for r in moment_reports]
 
     if bins is not None:
         increment = bins.report()
         doc["increment_test"] = increment.to_json_dict()
-        pass_flags.append(increment.passed)
+        checks.extend(increment.checks)
     else:
         doc["increment_test"] = None
-        doc["notes"].append("increment test skipped: needs at least 10000 paths")
+        doc["notes"].append(f"increment test skipped: needs at least {_INCREMENT_MIN_PATHS} paths")
 
     scans = [exact_moments.scan(p) for p in scan_ps]
     # exit status tracks the statistical comparisons; a flat closed-form
     # profile (monotone_pass false for psi = 0) is data, not a failure
-    pass_flags.extend(scan.statistical_pass for scan in scans)
+    for scan in scans:
+        checks.extend(scan.reports)
     doc["scans"] = [s.to_json_dict() for s in scans]
-    doc["all_pass"] = all(pass_flags)
+    doc["all_pass"] = all(c.passed for c in checks)
 
     if config.format == "json":
         report_path = os.path.join(config.output_dir, "report.json")
         _write_atomic(report_path, _dump_json(doc))
     else:
         report_path = os.path.join(config.output_dir, "report.csv")
-        flat = [mean_report] + moment_reports
-        for scan in scans:
-            flat.extend(scan.reports)
-        _write_atomic(report_path, reports_to_csv(flat))
+        _write_atomic(report_path, reports_to_csv(checks))
     out.write(f"report written to {report_path}; all_pass={str(doc['all_pass']).lower()}\n")
     return EXIT_OK if doc["all_pass"] else EXIT_STAT_FAIL
 

@@ -11,12 +11,13 @@ bundle's rows, so a streamed verdict equals the bundle verdict field for
 field.  A mean is the sum of its slice sums, taken in one pairwise pass,
 so no result depends on row blocking or on how many threads sampled.
 
-Acceptance rules are fixed rather than configurable: point estimates pass
-when within 3 jackknife standard errors (plus a few ulps of rounding) of
-their closed-form target, and the binned conditional-expectation test uses
-a 4-standard-error threshold to absorb the multiplicity across bins.  A
-statistic that is not finite fails its check; it is written as null and
-the reason is noted.
+Every check is an ``EstimateReport`` record, and one rule, ``_check``,
+passes it when within a fixed number of standard errors (plus a few ulps
+of rounding) of its closed-form target: 3 jackknife SEs for a point
+estimate, 4 for each group of the binned conditional-expectation test, to
+absorb the multiplicity across bins.  A statistic or SE that is not finite
+fails; it is written as null and the reason is noted.  An aggregate
+verdict is the conjunction of its records.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .paths import _BLOCK_ROWS, PathBundle, _copy_transposed, _Scratch
 
 CONFIDENCE_SIGMAS = 3.0
 BIN_GAP_SIGMAS = 4.0
+_INCREMENT_MIN_PATHS = 10_000  # fewer leave the increment bins too thin for stable errors
 
 #: Var Z = exp(qv) - 1, so beyond this the estimator tails turn log-normal
 #: enough that the quoted standard errors deserve suspicion.
@@ -47,7 +49,7 @@ _SUM_BLOCK = _BLOCK_ROWS // 2
 
 
 # Arithmetic on values that overflow or are not finite stays silent: the
-# verdict built from them fails and says why (see _mean_report).
+# verdict built from them fails and says why (see _check).
 _NONFINITE_OK = {"over": "ignore", "invalid": "ignore"}
 
 
@@ -183,30 +185,22 @@ class EstimateReport:
         }
 
 
-def _mean_report(quantity, n, mean, se, target, notes) -> EstimateReport:
-    mean, se, target = float(mean), float(se), float(target)
-    if math.isfinite(mean) and math.isfinite(se):
+def _check(quantity, n, estimate, se, target, notes, sigmas) -> EstimateReport:
+    """The one pass rule: |estimate - target| <= sigmas * se, up to rounding."""
+    estimate, se, target = float(estimate), float(se), float(target)
+    if math.isfinite(estimate) and math.isfinite(se):
         # the slice sums add along a tree about log2 n deep, each add
         # rounding by up to half an ulp, so even a noise-free sample (SE 0)
         # can miss its target by a few ulps; the floor ceil(log2 n) eps
         # |target| allows for that and stays far below any statistical
         # tolerance
         floor = math.ceil(math.log2(n)) * _EPS * abs(target)
-        passed = bool(abs(mean - target) <= CONFIDENCE_SIGMAS * se + floor)
+        passed = bool(abs(estimate - target) <= sigmas * se + floor)
     else:
         passed = False
-        notes.append(f"non-finite statistic: estimate {mean!r}, standard error {se!r}; check failed")
-    return EstimateReport(
-        quantity=quantity,
-        n=n,
-        estimate=mean,
-        std_error=se,
-        ci_low=mean - CONFIDENCE_SIGMAS * se,
-        ci_high=mean + CONFIDENCE_SIGMAS * se,
-        target=target,
-        passed=passed,
-        notes=tuple(notes),
-    )
+        notes = [*notes, f"non-finite statistic: estimate {estimate!r}, standard error {se!r}; check failed"]
+    low, high = estimate - sigmas * se, estimate + sigmas * se
+    return EstimateReport(quantity, n, estimate, se, low, high, target, passed, notes)
 
 
 def _check_node(n_nodes: int, t_index: int):
@@ -255,12 +249,11 @@ class SubmartingaleScan:
     targets: tuple[float, ...]
     reports: tuple[EstimateReport, ...]
     monotone_pass: bool
-    statistical_pass: bool
     notes: tuple[str, ...] = ()
 
     @property
-    def profile(self) -> tuple[tuple[float, float], ...]:
-        return tuple((t, r.estimate) for t, r in zip(self.times, self.reports))
+    def statistical_pass(self) -> bool:
+        return all(r.passed for r in self.reports)
 
     def to_json_dict(self) -> dict:
         return {
@@ -366,7 +359,7 @@ class NodeMoments:
     def _report(self, quantity_index: int, t_index: int, quantity: str, target: float, notes) -> EstimateReport:
         moments = self._moments[quantity_index]
         means, ses = moments.mean_se()
-        return _mean_report(quantity, moments.count, means[t_index], ses[t_index], target, notes)
+        return _check(quantity, moments.count, means[t_index], ses[t_index], target, notes, CONFIDENCE_SIGMAS)
 
     def mean_z(self, t_index: int) -> EstimateReport:
         """Sample mean of z at a node against the martingale target 1."""
@@ -424,7 +417,6 @@ class NodeMoments:
             targets=tuple(float(v) for v in targets),
             reports=reports,
             monotone_pass=monotone,
-            statistical_pass=all(r.passed for r in reports),
             notes=tuple(notes),
         )
 
@@ -462,7 +454,7 @@ def submartingale_scan(bundle: PathBundle, p: float) -> SubmartingaleScan:
 
 @dataclass(frozen=True)
 class MartingaleTestReport:
-    """Binned conditional-increment gaps between two nodes."""
+    """Binned conditional-increment gaps between two nodes, one check per bin group."""
 
     s: float
     t: float
@@ -470,8 +462,12 @@ class MartingaleTestReport:
     gaps: tuple[float, ...]
     gaps_in_se: tuple[float, ...]
     max_abs_gap_in_se: float
-    passed: bool
+    checks: tuple[EstimateReport, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -502,8 +498,8 @@ class IncrementBins:
         _check_node(n_nodes, t_index)
         if s_index >= t_index:
             raise ValueError("increment test needs s_index < t_index")
-        if n_paths < 10_000:
-            raise ValueError("increment test needs at least 10000 paths for stable bin errors")
+        if n_paths < _INCREMENT_MIN_PATHS:
+            raise ValueError(f"increment test needs at least {_INCREMENT_MIN_PATHS} paths for stable bin errors")
         if not 4 <= n_bins <= 64:
             raise ValueError("n_bins must lie in [4, 64]")
         self.s = float(grid.t[s_index])
@@ -563,19 +559,22 @@ class IncrementBins:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(gaps == 0.0, 0.0, np.abs(gaps) / se)
         ratio = np.where(np.isnan(ratio), np.inf, ratio)
-        max_abs = float(np.max(ratio))
-        passed = bool(max_abs <= BIN_GAP_SIGMAS)
-        bad = np.count_nonzero(~(np.isfinite(gaps) & np.isfinite(ratio)))
+        bad = np.count_nonzero(~(np.isfinite(gaps) & np.isfinite(se) & np.isfinite(ratio)))
         if bad:
             notes.append(f"non-finite statistic in {bad} of {len(spans)} groups (written as null); check failed")
+        name = f"increment_gap@s={self.s:g};t={self.t:g};group="
+        checks = tuple(
+            _check(f"{name}{k}", int(n), gap, err, 0.0, (), BIN_GAP_SIGMAS)
+            for k, (n, gap, err) in enumerate(zip(cnt, gaps, se))
+        )
         return MartingaleTestReport(
             s=self.s,
             t=self.t,
             n_bins=n_bins,
             gaps=tuple(float(v) for v in gaps),
             gaps_in_se=tuple(float(v) for v in ratio),
-            max_abs_gap_in_se=max_abs,
-            passed=passed,
+            max_abs_gap_in_se=float(np.max(ratio)),
+            checks=checks,
             notes=tuple(notes),
         )
 
@@ -591,9 +590,10 @@ def martingale_increment_test(
     No functional form is assumed: paths are grouped by the exact Gaussian
     quantiles of I(s) (equivalently of z(s) for the exact scheme) and each
     group's mean increment is compared to zero in units of its own standard
-    error.  Passes when every gap is within 4 SE (Bonferroni slack for up to
-    64 bins).  Bins emptied by ties are merged rightward into their
-    neighbour and the merge is noted.
+    error.  Each group is one check, passed when its gap is within 4 SE
+    (Bonferroni slack for up to 64 bins); the test passes when all do.
+    Bins emptied by ties are merged rightward into their neighbour and the
+    merge is noted.
     """
     return IncrementBins.of_bundle(bundle, s_index, t_index, n_bins).report()
 
@@ -613,7 +613,7 @@ def drift_expectation_check(bundle: PathBundle, alpha: float, x0: float) -> Esti
     x = _pair_means(scale * bundle.z[:, -1], bundle.antithetic)
     mean, se = jackknife_mean_se(x)
     notes = _pair_notes(bundle.n_paths, bundle.antithetic)
-    return _mean_report(f"mean_x@t={horizon:g}", x.size, mean, se, scale, notes)
+    return _check(f"mean_x@t={horizon:g}", x.size, mean, se, scale, notes, CONFIDENCE_SIGMAS)
 
 
 def reports_to_csv(reports) -> str:

@@ -165,8 +165,8 @@ def _map_blocks(task, n_rows: int, workers: int):
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    spans = [(s, min(s + _BLOCK_ROWS, n_rows)) for s in range(0, n_rows, _BLOCK_ROWS)]
-    if workers <= 1 or len(spans) == 1:
+    spans = ((s, min(s + _BLOCK_ROWS, n_rows)) for s in range(0, n_rows, _BLOCK_ROWS))
+    if workers <= 1 or n_rows <= _BLOCK_ROWS:
         for span in spans:
             yield task(*span)
     else:

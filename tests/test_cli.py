@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process, against temporary directories."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -43,6 +44,14 @@ def write_config(path, **fields):
 
 def reject_constant(token):
     raise AssertionError(f"non-standard JSON token {token}")
+
+
+def failed_verdicts(node, path=""):
+    """Dotted paths of the verdict keys (``...pass``) of a report that read false."""
+    if isinstance(node, (list, dict)):
+        items = enumerate(node) if isinstance(node, list) else node.items()
+        return {p for key, value in items for p in failed_verdicts(value, f"{path}.{key}" if path else str(key))}
+    return {path} if node is False and path.endswith("pass") else set()
 
 
 @pytest.fixture
@@ -545,6 +554,56 @@ class TestEstimate:
         assert any(line.startswith("mean_z@t=1,") for line in lines)
         assert any(line.startswith("pth_moment@p=2;t=1,") for line in lines)
 
+    @pytest.mark.parametrize("sigmas", [None, 0.0], ids=["as-is", "every-group-fails"])
+    def test_csv_pass_column_decides_all_pass_and_exit(self, workdir, capsys, monkeypatch, sigmas):
+        # report.csv holds every check, the increment test's bin groups
+        # included, so its pass column alone gives all_pass and the exit code
+        if sigmas is not None:
+            monkeypatch.setattr(ddse.estimators, "BIN_GAP_SIGMAS", sigmas)
+        cfg = self.config(workdir, format="csv")
+        code = main(["estimate", "--config", cfg])
+        rows = (workdir / "out" / "report.csv").read_text().splitlines()[1:]
+        assert sum(row.startswith("increment_gap@s=0.5;t=1;group=") for row in rows) == 16
+        verdict = all(row.endswith(",true") for row in rows)
+        assert verdict is (sigmas is None)
+        assert capsys.readouterr().out.endswith(f"all_pass={str(verdict).lower()}\n")
+        assert code == (EXIT_OK if verdict else EXIT_STAT_FAIL)
+
+    @pytest.mark.parametrize(
+        "quantity,verdicts",
+        [
+            ("mean_z@t=1", {"mean_z.pass"}),
+            ("pth_moment@p=2;t=1", {"p_moments.0.pass"}),
+            ("increment_gap@s=0.5;t=1;group=7", {"increment_test.pass"}),
+            ("pth_moment@p=2;t=0.5", {"scans.0.reports.4.pass", "scans.0.statistical_pass"}),
+        ],
+        ids=["mean-z", "horizon-p-moment", "increment-group", "scan-node"],
+    )
+    def test_no_check_escapes_the_aggregate(self, workdir, capsys, monkeypatch, quantity, verdicts):
+        # one failing record of each kind fails the whole report; the
+        # horizon p-moment is built before the scan node of the same name
+        real_check = ddse.estimators._check
+        flipped = []
+
+        def check(*args):
+            record = real_check(*args)
+            if record.quantity == quantity and not flipped:
+                flipped.append(record)
+                return dataclasses.replace(record, passed=False)
+            return record
+
+        monkeypatch.setattr(ddse.estimators, "_check", check)
+        for fmt in ("json", "csv"):
+            flipped.clear()
+            assert main(["estimate", "--config", self.config(workdir, format=fmt)]) == EXIT_STAT_FAIL
+            assert capsys.readouterr().out.endswith("all_pass=false\n")
+            assert len(flipped) == 1
+        doc = json.loads((workdir / "out" / "report.json").read_text())
+        assert failed_verdicts(doc) == verdicts | {"all_pass"}
+        rows = (workdir / "out" / "report.csv").read_text().splitlines()[1:]
+        failed = [row for row in rows if not row.endswith(",true")]
+        assert len(failed) == 1 and failed[0].startswith(quantity + ",") and failed[0].endswith(",false")
+
 
 class TestWick:
     def test_zero_integrand(self, workdir, capsys):
@@ -641,8 +700,25 @@ class TestGolden:
         "antithetic-steps5": "1c1d555f99667c73170a8bb386db516cd91f55a39fa1590b636fc20b5c99dafa",
     }
 
-    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic", "exact-steps5", "antithetic-steps5"])
-    def test_estimate_report_digests(self, workdir, capsys, mode):
+    # report.csv of the same runs, and of that file without its
+    # increment_gap@ rows, which is the file written before the increment
+    # test's bin groups became rows
+    ESTIMATE_CSV_DIGESTS = {
+        "exact": (
+            "55ccd4241e1beeca006868c8bdc4e470621e8eb791567310b26410deb4db18b3",
+            "fe78bf881fcd7c781ce72800802f76bd01b23767ba3eb542b41ff56d76ba7730",
+        ),
+        "em": (
+            "7b5e85ee3149d0b3fd92bc8d42a58d8f368370008771a1ad95df63500ac3a055",
+            "1ad44273669b87b5df446c003d87de6028253fa07293b1936225d6a35943ca54",
+        ),
+        "antithetic": (
+            "f3aa61713c3cc33b183abd001e35e0798342aa1f609df968b375445ad64e6c0f",
+            "b4972f522113b19e4eca784bf6884dbe4583161163c4b68dd29b13f5220a0eac",
+        ),
+    }
+
+    def estimate_argv(self, workdir, mode):
         scheme, _, steps = mode.partition("-steps")
         extra = {"em": {"scheme": "em"}, "antithetic": {"antithetic": True}}.get(scheme, {})
         cfg = write_config(
@@ -655,11 +731,55 @@ class TestGolden:
             output_dir="out",
             **extra,
         )
+        return ["estimate", "--config", cfg, "--p", "0.5", "--p", "2", "--p", "3"]
+
+    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic", "exact-steps5", "antithetic-steps5"])
+    def test_estimate_report_digests(self, workdir, capsys, mode):
         for workers in ("1", "2"):
-            argv = ["estimate", "--config", cfg, "--p", "0.5", "--p", "2", "--p", "3", "--workers", workers]
-            assert main(argv) in (EXIT_OK, EXIT_STAT_FAIL)
+            assert main(self.estimate_argv(workdir, mode) + ["--workers", workers]) in (EXIT_OK, EXIT_STAT_FAIL)
             digest = hashlib.sha256((workdir / "out" / "report.json").read_bytes()).hexdigest()
             assert digest == self.ESTIMATE_DIGESTS[mode], workers
+
+    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic"])
+    def test_estimate_csv_digests(self, workdir, capsys, mode):
+        for workers in ("1", "2"):
+            argv = self.estimate_argv(workdir, mode) + ["--format", "csv", "--workers", workers]
+            assert main(argv) in (EXIT_OK, EXIT_STAT_FAIL)
+            lines = (workdir / "out" / "report.csv").read_bytes().splitlines(keepends=True)
+            without_groups = b"".join(line for line in lines if not line.startswith(b"increment_gap@"))
+            digests = tuple(hashlib.sha256(blob).hexdigest() for blob in (b"".join(lines), without_groups))
+            assert digests == self.ESTIMATE_CSV_DIGESTS[mode], workers
+
+    @pytest.mark.parametrize("mode", ["exact", "em", "antithetic", "exact-steps5", "antithetic-steps5"])
+    def test_report_records_are_its_json_verdicts(self, workdir, capsys, monkeypatch, mode):
+        # the records report.csv is written from are every verdict leaf of
+        # report.json, in report order, and their conjunction is all_pass
+        records = []
+        real_to_csv = ddse.cli.reports_to_csv
+
+        def to_csv(reports):
+            records.extend(reports)
+            return real_to_csv(reports)
+
+        monkeypatch.setattr(ddse.cli, "reports_to_csv", to_csv)
+        code = main(self.estimate_argv(workdir, mode))
+        assert main(self.estimate_argv(workdir, mode) + ["--format", "csv"]) == code
+        doc = json.loads((workdir / "out" / "report.json").read_text())
+        increment = doc["increment_test"]
+        head, tail = 1 + len(doc["p_moments"]), 1 + len(doc["p_moments"]) + len(increment["gaps"])
+        assert [r.to_json_dict() for r in records[:head]] == [doc["mean_z"], *doc["p_moments"]]
+        groups = records[head:tail]
+        assert [r.quantity for r in groups] == [
+            f"increment_gap@s={increment['s']:g};t={increment['t']:g};group={k}" for k in range(len(groups))
+        ]
+        assert [r.estimate for r in groups] == increment["gaps"]
+        assert all(r.passed for r in groups) is increment["pass"]
+        assert [r.to_json_dict() for r in records[tail:]] == [r for scan in doc["scans"] for r in scan["reports"]]
+        assert [scan["statistical_pass"] for scan in doc["scans"]] == [
+            all(r["pass"] for r in scan["reports"]) for scan in doc["scans"]
+        ]
+        assert all(r.passed for r in records) is doc["all_pass"]
+        assert code == (EXIT_OK if doc["all_pass"] else EXIT_STAT_FAIL)
 
     @pytest.mark.parametrize("mode", ["exact", "em", "antithetic"])
     def test_simulate_output_digests(self, workdir, capsys, mode):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddse.estimators import (
+    BIN_GAP_SIGMAS,
     EstimateReport,
     IncrementBins,
     det_sum,
@@ -20,6 +21,7 @@ from ddse.estimators import (
     p_moment_targets,
     reports_to_csv,
     submartingale_scan,
+    _check,
 )
 from ddse.integrand import IntegrandSpec, TimeGrid
 from ddse.paths import PathBundle, SeedSpec, stoch_exp_em, stoch_exp_exact
@@ -134,6 +136,21 @@ class TestEstimateReport:
         doc = EstimateReport("q", 10, 1.0, 0.1, 0.7, 1.3, target=1.0, passed=True).to_json_dict()
         assert doc["pass"] is True
         assert "passed" not in doc
+
+
+class TestCheckRule:
+    def test_bound_is_inclusive(self):
+        assert _check("g", 10, -4.0, 1.0, 0.0, (), BIN_GAP_SIGMAS).passed is True
+        assert _check("g", 10, 4.5, 1.0, 0.0, (), BIN_GAP_SIGMAS).passed is False
+        check = _check("m", 10, 1.5, 0.25, 1.0, ["kept"], 3.0)
+        assert (check.passed, check.ci_low, check.ci_high, check.notes) == (True, 0.75, 2.25, ("kept",))
+
+    @pytest.mark.parametrize("se", [math.inf, math.nan])
+    def test_finite_gap_with_nonfinite_se_fails(self, se):
+        for gap in (0.0, 0.1):
+            check = _check("g", 10, gap, se, 0.0, (), BIN_GAP_SIGMAS)
+            assert check.passed is False
+            assert check.notes[0].startswith("non-finite statistic")
 
 
 class TestEstimateMeanZ:
@@ -286,6 +303,14 @@ class TestMartingaleIncrementTest:
         assert report.n_bins == 16
         assert len(report.gaps) == 16
         assert report.max_abs_gap_in_se == max(abs(g) for g in report.gaps_in_se)
+        # one check per bin group, and the test passes when all of them do
+        checks = report.checks
+        assert [c.quantity for c in checks] == [f"increment_gap@s=0.5;t=1;group={k}" for k in range(16)]
+        assert sum(c.n for c in checks) == 20_000
+        assert tuple(c.estimate for c in checks) == report.gaps
+        assert tuple(abs(c.estimate) / c.std_error for c in checks) == report.gaps_in_se
+        assert all(c.target == 0.0 and c.ci_high == c.estimate + BIN_GAP_SIGMAS * c.std_error for c in checks)
+        assert report.passed is all(c.passed for c in checks) is True
 
     def test_euler_scheme_passes(self):
         # the Euler recursion is a discrete martingale too, sign changes and all

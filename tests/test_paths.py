@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ class TestMapBlocks:
         assert seen == [(s, min(s + 4, 163)) for s in range(0, 163, 4)]
         assert sorted(started) == [s for s, _ in seen]
         assert peak <= 2 * workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spans_are_generated_lazily(self, workers):
+        # 2^30 rows are 65,536 blocks; a list of their spans would take
+        # several MB before the first block ran, a generator takes none
+        tracemalloc.start()
+        try:
+            blocks = paths._map_blocks(lambda start, stop: None, 2**30, workers)
+            before = tracemalloc.get_traced_memory()[0]
+            next(blocks)
+            grown = tracemalloc.get_traced_memory()[0] - before
+            blocks.close()
+        finally:
+            tracemalloc.stop()
+        assert grown < 100_000
 
 
 class TestRowBlocks:
