@@ -4,7 +4,8 @@ The package certifies three families of claims about z(t) =
 exp(I(t) - qv(t)/2), where I is the Ito integral of a deterministic
 integrand against Brownian motion and qv its accumulated square:
 
-* finiteness of exp(qv/2) (the Novikov gate) via closed forms or quadrature,
+* finiteness of exp(qv/2) (the Novikov gate), with qv in closed form for
+  every integrand kind,
 * the martingale identity E z(t) = 1 and the p-th moment law
   E|z(t)|^p = exp(p(p-1) qv/2), by exact-law sampling under a splittable,
   worker-independent randomness contract,
@@ -13,18 +14,15 @@ integrand against Brownian motion and qv its accumulated square:
 """
 
 from .integrand import (
-    DEFAULT_TOL,
     DIVERGENCE_CAP,
     DivergentIntegralError,
     IntegrandDomainError,
     IntegrandSpec,
     NovikovReport,
-    QuadVarProfile,
     TimeGrid,
     novikov_check,
     quad_var,
     quad_var_between,
-    quad_var_profile,
 )
 from .paths import (
     PathBundle,
@@ -70,7 +68,6 @@ from .estimators import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "DIVERGENCE_CAP",
     "CapacityError",
     "DivergentIntegralError",
@@ -82,7 +79,6 @@ __all__ = [
     "NovikovReport",
     "PairPartition",
     "PathBundle",
-    "QuadVarProfile",
     "SeedSpec",
     "SeriesTruncation",
     "SubmartingaleScan",
@@ -107,7 +103,6 @@ __all__ = [
     "pairing_count",
     "quad_var",
     "quad_var_between",
-    "quad_var_profile",
     "read_binary",
     "reports_to_csv",
     "sample_brownian",

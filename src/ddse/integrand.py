@@ -7,11 +7,13 @@ Everything downstream keys on the single scalar
 
 which is at once the variance of the integral, the compensator subtracted
 inside the exponential sampler, and the quantity whose finiteness the
-Novikov check decides.  Five declarative kinds are supported; four carry
-closed-form antiderivatives, tabulated ones are integrated numerically by a
-knot-aligned composite trapezoid with Richardson refinement.  Adaptive
-quadrature (``method="adaptive"``) is an oracle for the tests; it is the
-only user of scipy.integrate, which it imports when first called.
+Novikov check decides.  Five declarative kinds are supported, and each has
+qv in closed form: constant, polynomial and exponential-decay integrands
+by their antiderivatives, an inverse-square-root blowup by a logarithm
+that diverges at its pole, and a tabulated (piecewise-linear) integrand
+exactly, one quadratic piece per knot interval.  A tabulated integrand is
+called divergent once its running qv exceeds DIVERGENCE_CAP, and the time
+of that crossing is located by bisection of the running qv.
 """
 
 from __future__ import annotations
@@ -22,18 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 KINDS = ("constant", "polynomial", "exponential_decay", "tabulated", "inverse_sqrt_blowup")
-CLOSED_FORM_KINDS = frozenset({"constant", "polynomial", "exponential_decay", "inverse_sqrt_blowup"})
-METHODS = ("auto", "closed_form", "trapezoid", "adaptive")
-
-#: Absolute quadrature tolerance used when callers do not override it.
-DEFAULT_TOL = 1e-9
 
 #: A running value of qv above this is reported as divergent for tabulated
 #: integrands.  exp(qv / 2) overflows float64 near qv ~ 1420, so the verdict
 #: is forced long before the cap is reached.
 DIVERGENCE_CAP = 1e12
-
-_MAX_REFINEMENTS = 24
 
 
 class IntegrandDomainError(ValueError):
@@ -246,15 +241,6 @@ class TimeGrid:
         return np.diff(self.t)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadVarProfile:
-    """Cumulative qv along a grid: values[i] = qv(grid.t[i])."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    method: str
-
-
 @dataclass(frozen=True)
 class NovikovReport:
     """Finiteness verdict for exp(qv(t) / 2), with qv / 2 when finite."""
@@ -275,6 +261,43 @@ class NovikovReport:
 # closed-form antiderivatives of f^2
 
 
+def _qv_tabulated(spec: IntegrandSpec, t: float) -> float:
+    """Exact integral over [0, t] of the piecewise-quadratic f^2.
+
+    The knots before t and the point (t, f(t)) cut [0, t] into pieces on
+    which f runs linearly from a to b; a piece of width h contributes
+    h (a^2 + ab + b^2) / 3, which past the last knot is h f^2.  The bracket
+    is summed as (a^2 + b^2 + (a + b)^2) / 2, whose terms are nonnegative:
+    nothing cancels, and a value whose square overflows gives inf, never
+    inf - inf.
+    """
+    times, values = spec._knot_times, spec._knot_values
+    before = int(np.searchsorted(times, t))
+    ends = np.append(times[:before], t)
+    f = np.append(values[:before], np.interp(t, times, values))
+    a, b = f[:-1], f[1:]
+    s = a + b
+    # invalid: an infinite t past a last value of 0 gives inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pieces = np.diff(ends) * (a * a + b * b + s * s) / 6.0
+    return math.fsum(pieces.tolist())
+
+
+def _tabulated_excess_time(spec: IntegrandSpec, t: float) -> float:
+    # bisect the nondecreasing running qv on [0, t] for its first crossing
+    # of the cap; qv(0) = 0 is below it and qv(t) above
+    lo, hi = 0.0, t
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _qv_tabulated(spec, mid) <= DIVERGENCE_CAP:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return hi
+
+
 def _qv_closed(spec: IntegrandSpec, t: float) -> float:
     if spec.kind == "constant":
         return spec.params[0] ** 2 * t
@@ -293,6 +316,15 @@ def _qv_closed(spec: IntegrandSpec, t: float) -> float:
         if abs(y) < 1e-290:
             return c * c * t
         return c * c * t * (-math.expm1(-y) / y)
+    if spec.kind == "tabulated":
+        qv = _qv_tabulated(spec, t)
+        if not qv <= DIVERGENCE_CAP:
+            first = _tabulated_excess_time(spec, t)
+            raise DivergentIntegralError(
+                f"running qv exceeded the divergence cap {DIVERGENCE_CAP:g} near t = {first:g}",
+                first_excess_time=first,
+            )
+        return qv
     # inverse_sqrt_blowup: qv(t) = -c^2 * log(1 - t / T*)
     c = spec.params[0]
     tstar = spec.blowup_time
@@ -302,215 +334,50 @@ def _qv_closed(spec: IntegrandSpec, t: float) -> float:
         raise DivergentIntegralError(
             f"qv diverges at t = {tstar:g} (inverse-square-root blowup);"
             f" requested t = {t:g}",
-            first_excess_time=_inverse_sqrt_excess_time(c, tstar, DIVERGENCE_CAP),
+            # the s at which -c^2 * log(1 - s/T*) reaches the cap; dividing
+            # by c twice gives inf, not a division by zero, when c^2 underflows
+            first_excess_time=tstar * -math.expm1(-DIVERGENCE_CAP / c / c),
         )
     return -c * c * math.log1p(-t / tstar)
 
 
-def _inverse_sqrt_excess_time(c: float, tstar: float, cap: float) -> float:
-    # solve -c^2 * log(1 - s/T*) = cap for s
-    return tstar * -math.expm1(-cap / (c * c))
+def quad_var_between(spec: IntegrandSpec, a: float, b: float) -> float:
+    """Integral of f^2 over [a, b], as a difference of closed-form qv values.
 
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-
-def _trapezoid_refined(sq, a: float, b: float, tol: float) -> float:
-    """Composite trapezoid on [a, b] with Richardson refinement to ``tol``.
-
-    ``sq`` must be a vectorised, nonnegative integrand; the refined estimate
-    is then nonnegative as well.
-    """
-    if b == a:
-        return 0.0
-    width = b - a
-    ends = sq(np.asarray([a, b]))
-    end_weight = 0.5 * float(ends[0] + ends[1])
-    interior = 0.0
-    panels = 1
-    trap_prev = width * end_weight
-    rich_prev = trap_prev
-    for _ in range(_MAX_REFINEMENTS):
-        panels *= 2
-        step = width / panels
-        new_points = a + step * np.arange(1, panels, 2)
-        interior += float(np.sum(sq(new_points)))
-        trap = step * (end_weight + interior)
-        rich = (4.0 * trap - trap_prev) / 3.0
-        if abs(rich - rich_prev) <= tol:
-            return rich
-        trap_prev, rich_prev = trap, rich
-    return rich_prev
-
-
-def _pieces(spec: IntegrandSpec, a: float, b: float):
-    """Split [a, b] at interior tabulated knots so each piece is smooth."""
-    cuts = [a]
-    if spec.kind == "tabulated":
-        cuts.extend(t for t, _ in spec.table if a < t < b)
-    cuts.append(b)
-    return list(zip(cuts, cuts[1:]))
-
-
-def _qv_trapezoid(spec, a, b, tol, cap, running_from_zero):
-    """Knot-aligned trapezoid integration of f^2 over [a, b].
-
-    ``running_from_zero`` is the qv already accumulated on [0, a]; the
-    divergence cap applies to the running total, and the first crossing
-    time is located by bisection inside the offending piece.
-    """
-    pieces = _pieces(spec, a, b)
-    piece_tol = tol / len(pieces)
-    total = 0.0
-    for lo, hi in pieces:
-        seg = _trapezoid_refined(spec.square_values, lo, hi, piece_tol)
-        if running_from_zero + total + seg > cap:
-            first = _bisect_excess(spec, lo, hi, cap - running_from_zero - total, piece_tol)
-            raise DivergentIntegralError(
-                f"running qv exceeded the divergence cap {cap:g} near t = {first:g}",
-                first_excess_time=first,
-            )
-        total += seg
-    return total
-
-
-def _bisect_excess(spec, a, b, budget, tol):
-    # locate the first s with integral over [a, s] above budget; the left
-    # endpoint of every trial integral stays pinned at a
-    lo, hi = a, b
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _trapezoid_refined(spec.square_values, a, mid, tol) > budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return hi
-
-
-def _qv_adaptive(spec: IntegrandSpec, a: float, b: float, tol: float) -> float:
-    from scipy.integrate import quad
-
-    if b == a:
-        return 0.0
-    interior_knots = [t for t, _ in (spec.table or ()) if a < t < b] or None
-    value, _err = quad(
-        lambda u: spec.value(u) ** 2,
-        a,
-        b,
-        epsabs=tol,
-        epsrel=0.0,
-        limit=500,
-        points=interior_knots,
-    )
-    return value
-
-
-def _resolve_method(spec: IntegrandSpec, method: str) -> str:
-    if method not in METHODS:
-        raise ValueError(f"unknown quadrature method {method!r}; expected one of {METHODS}")
-    if method == "auto":
-        return "closed_form" if spec.kind in CLOSED_FORM_KINDS else "trapezoid"
-    if method == "closed_form" and spec.kind not in CLOSED_FORM_KINDS:
-        raise ValueError(f"no closed form for kind {spec.kind!r}")
-    return method
-
-
-def _check_analytic_divergence(spec: IntegrandSpec, b: float, cap: float):
-    if spec.kind == "inverse_sqrt_blowup" and spec.params[0] != 0.0 and b >= spec.blowup_time:
-        raise DivergentIntegralError(
-            f"qv diverges at t = {spec.blowup_time:g} (inverse-square-root blowup);"
-            f" requested horizon {b:g}",
-            first_excess_time=_inverse_sqrt_excess_time(spec.params[0], spec.blowup_time, cap),
-        )
-
-
-def quad_var_between(
-    spec: IntegrandSpec,
-    a: float,
-    b: float,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
-    cap: float = DIVERGENCE_CAP,
-) -> float:
-    """Integral of f^2 over [a, b], to absolute accuracy ``tol``.
-
-    Raises DivergentIntegralError when the integral is infinite (detected
-    analytically for the closed-form kinds, or when their closed form
-    overflows float64) or when the running total from zero exceeds ``cap``
-    (tabulated kinds).
+    Raises DivergentIntegralError when the integral is infinite: at or past
+    the pole of an inverse-square-root integrand, when a closed form
+    overflows float64, or, for a tabulated integrand, when the running qv
+    from zero exceeds DIVERGENCE_CAP.
     """
     if not 0.0 <= a <= b:
         raise ValueError("quad_var_between requires 0 <= a <= b")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    _check_analytic_divergence(spec, b, cap)
-    resolved = _resolve_method(spec, method)
-    if resolved == "closed_form":
-        try:
-            value = _qv_closed(spec, b) - _qv_closed(spec, a)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise DivergentIntegralError(f"qv on [{a:g}, {b:g}] overflows float64")
-        return value
-    if resolved == "trapezoid":
-        base = 0.0
-        if spec.kind == "tabulated" and a > 0.0:
-            base = _qv_trapezoid(spec, 0.0, a, tol, cap, 0.0)
-        return _qv_trapezoid(spec, a, b, tol, cap, base)
-    return _qv_adaptive(spec, a, b, tol)
+    try:
+        value = _qv_closed(spec, b) - _qv_closed(spec, a)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DivergentIntegralError(f"qv on [{a:g}, {b:g}] overflows float64")
+    return value
 
 
-def quad_var(
-    spec: IntegrandSpec,
-    t: float,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
-    cap: float = DIVERGENCE_CAP,
-) -> float:
+def quad_var(spec: IntegrandSpec, t: float) -> float:
     """qv(t) = integral of f^2 over [0, t]."""
     if t < 0:
         raise ValueError("quad_var requires t >= 0")
-    return quad_var_between(spec, 0.0, t, method=method, tol=tol, cap=cap)
+    return quad_var_between(spec, 0.0, t)
 
 
-def novikov_check(
-    spec: IntegrandSpec,
-    t: float,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
-    cap: float = DIVERGENCE_CAP,
-) -> NovikovReport:
+def novikov_check(spec: IntegrandSpec, t: float) -> NovikovReport:
     """Decide whether exp(qv(t) / 2) is finite.
 
-    Divergence is detected analytically for the closed-form kinds and by a
-    running-total cap for tabulated ones; a divergent verdict records the
-    first time the running integral crossed the cap.
+    A divergent verdict records the first time the running qv crosses
+    DIVERGENCE_CAP where that time is known: for an inverse-square-root
+    pole and for a tabulated integrand.
     """
     if not t > 0:
         raise ValueError("novikov_check requires t > 0")
     try:
-        value = quad_var(spec, t, method=method, tol=tol, cap=cap)
+        value = quad_var(spec, t)
     except DivergentIntegralError as exc:
         return NovikovReport(verdict="divergent", first_excess_time=exc.first_excess_time)
     return NovikovReport(verdict="finite", half_qv=0.5 * value)
-
-
-def quad_var_profile(
-    spec: IntegrandSpec,
-    grid: TimeGrid,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
-) -> QuadVarProfile:
-    """Cumulative qv at every grid node; panel sums are additive by construction."""
-    resolved = _resolve_method(spec, method)
-    values = np.empty(grid.t.size)
-    values[0] = 0.0
-    for i in range(grid.n_steps):
-        panel = quad_var_between(spec, float(grid.t[i]), float(grid.t[i + 1]), method=resolved, tol=tol)
-        values[i + 1] = values[i] + panel
-    values.setflags(write=False)
-    return QuadVarProfile(grid=grid, values=values, method=resolved)

@@ -183,6 +183,24 @@ class TestNovikov:
         assert doc == {"verdict": "divergent", "half_qv": None, "first_excess_time": None}
         assert main(["estimate", "--config", cfg]) == EXIT_DIVERGENT
 
+    @pytest.mark.parametrize("command", ["novikov", "wick", "estimate"])
+    @pytest.mark.parametrize("table", [[[0, 1e200]], [[0, 1e200], [0.5, -1e200], [1, 1e200]]])
+    def test_table_whose_square_overflows_is_divergent(self, workdir, capsys, table, command):
+        # f^2 overflows float64, so the running qv passes the cap at once;
+        # in the second table a^2 + ab + b^2 would read inf - inf
+        psi = {"kind": "tabulated", "table": table}
+        cfg = write_config(workdir / "c.json", psi=psi, horizon=1.0, n_paths=200, steps=4)
+        # a RuntimeWarning fails the test (pyproject.toml's filterwarnings)
+        assert main([command, "--config", cfg]) == EXIT_DIVERGENT
+        captured = capsys.readouterr()
+        if command == "novikov":
+            doc = json.loads(captured.out, parse_constant=reject_constant)
+            assert (doc["verdict"], doc["half_qv"]) == ("divergent", None)
+            assert 0.0 <= doc["first_excess_time"] < 1e-6
+        else:
+            assert captured.err.startswith("divergent:")
+            assert "cap" in captured.err
+
 
 class TestSimulate:
     def base_config(self, workdir, **extra):

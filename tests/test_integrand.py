@@ -1,6 +1,7 @@
-"""Integrand evaluation, accumulated-square quadrature, finiteness verdicts."""
+"""Integrand evaluation, closed-form accumulated squares, finiteness verdicts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddse.integrand import (
-    DEFAULT_TOL,
     DIVERGENCE_CAP,
     DivergentIntegralError,
     IntegrandDomainError,
@@ -17,12 +17,25 @@ from ddse.integrand import (
     novikov_check,
     quad_var,
     quad_var_between,
-    quad_var_profile,
 )
 
-# absolute agreement demanded between independent quadrature routes; the
-# default tolerance is 1e-9, routes can each miss by that much
+# absolute tolerance of the adaptive-quadrature oracle below
+QUAD_TOL = 1e-9
+# absolute agreement demanded between the closed forms and that oracle
 CROSS_ROUTE_TOL = 2e-9
+EPS = np.finfo(np.float64).eps
+
+
+def adaptive_qv(spec, t):
+    """Oracle: qv(t) by adaptive quadrature of f^2, split at tabulated knots."""
+    from scipy.integrate import quad
+
+    interior_knots = [u for u, _ in (spec.table or ()) if 0.0 < u < t] or None
+    value, _err = quad(
+        lambda u: spec.value(u) ** 2, 0.0, t, epsabs=QUAD_TOL, epsrel=0.0, limit=500, points=interior_knots
+    )
+    return value
+
 
 TRIANGLE = IntegrandSpec.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 0.0)])
 # piecewise closed form: int (1+2u)^2 on [0,.5] = 7/6, int (4-4u)^2 on [.5,1] = 2/3
@@ -163,28 +176,24 @@ class TestQuadVar:
         ],
     )
     def test_closed_form_agrees_with_adaptive(self, spec, t):
-        closed = quad_var(spec, t, method="closed_form")
-        adaptive = quad_var(spec, t, method="adaptive")
-        assert closed == pytest.approx(adaptive, abs=CROSS_ROUTE_TOL)
+        assert quad_var(spec, t) == pytest.approx(adaptive_qv(spec, t), abs=CROSS_ROUTE_TOL)
 
     def test_decay_subnormal_rate_keeps_leading_term(self):
         # a subnormal rate once pushed the expm1 numerator into subnormal
         # rounding, costing 11% of the leading term; it must behave as rate 0
         spec = IntegrandSpec.exponential_decay(1.5, 5e-324)
-        assert quad_var(spec, 1.0, method="closed_form") == 2.25
-        assert quad_var(spec, 1.0, method="adaptive") == pytest.approx(2.25, abs=CROSS_ROUTE_TOL)
+        assert quad_var(spec, 1.0) == 2.25
+        assert adaptive_qv(spec, 1.0) == pytest.approx(2.25, abs=CROSS_ROUTE_TOL)
 
     def test_tabulated_both_routes_match_hand_value(self):
         assert quad_var(TRIANGLE, 1.0) == pytest.approx(TRIANGLE_QV_1, abs=CROSS_ROUTE_TOL)
-        assert quad_var(TRIANGLE, 1.0, method="adaptive") == pytest.approx(
-            TRIANGLE_QV_1, abs=CROSS_ROUTE_TOL
-        )
+        assert adaptive_qv(TRIANGLE, 1.0) == pytest.approx(TRIANGLE_QV_1, abs=CROSS_ROUTE_TOL)
 
     def test_additivity_between(self):
         for spec in (TRIANGLE, IntegrandSpec.exponential_decay(1.0, 1.0)):
             whole = quad_var(spec, 1.0)
             split = quad_var_between(spec, 0.0, 0.3) + quad_var_between(spec, 0.3, 1.0)
-            assert split == pytest.approx(whole, abs=2.0 * DEFAULT_TOL)
+            assert split == pytest.approx(whole, abs=2.0 * QUAD_TOL)
 
     def test_argument_validation(self):
         spec = IntegrandSpec.constant(1.0)
@@ -192,12 +201,6 @@ class TestQuadVar:
             quad_var(spec, -1.0)
         with pytest.raises(ValueError):
             quad_var_between(spec, 0.5, 0.2)
-        with pytest.raises(ValueError):
-            quad_var(spec, 1.0, method="simpson")
-        with pytest.raises(ValueError, match="no closed form"):
-            quad_var(TRIANGLE, 1.0, method="closed_form")
-        with pytest.raises(ValueError, match="tol"):
-            quad_var(spec, 1.0, tol=0.0)
 
     def test_divergence_analytic(self):
         spec = IntegrandSpec.inverse_sqrt_blowup(1.0, 1.0)
@@ -238,6 +241,14 @@ class TestNovikov:
         assert report.verdict == "divergent"
         assert report.first_excess_time == pytest.approx(0.25, abs=1e-6)
 
+    def test_pole_with_underflowing_square_amplitude(self):
+        # c^2 underflows to 0: qv before the pole reads 0, and the cap is
+        # first crossed at the pole itself rather than dividing by zero
+        spec = IntegrandSpec.inverse_sqrt_blowup(1e-200, 0.5)
+        assert novikov_check(spec, 0.25).half_qv == 0.0
+        report = novikov_check(spec, 1.0)
+        assert (report.verdict, report.first_excess_time) == ("divergent", 0.5)
+
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             novikov_check(IntegrandSpec.constant(1.0), 0.0)
@@ -263,37 +274,35 @@ class TestNovikov:
 
 
 class TestProfile:
+    # qv at every node of a grid
+    @staticmethod
+    def profile(spec, grid):
+        return [quad_var(spec, float(t)) for t in grid.t]
+
     def test_unit_integrand_linear(self):
-        profile = quad_var_profile(IntegrandSpec.constant(1.0), TimeGrid(np.array([0.0, 0.5, 1.0])))
-        assert profile.values.tolist() == [0.0, 0.5, 1.0]
-        assert profile.method == "closed_form"
+        assert self.profile(IntegrandSpec.constant(1.0), TimeGrid(np.array([0.0, 0.5, 1.0]))) == [0.0, 0.5, 1.0]
 
     def test_identity_integrand_cubic_nodes(self):
-        profile = quad_var_profile(IntegrandSpec.polynomial([0.0, 1.0]), TimeGrid(np.array([0.0, 1.0, 2.0])))
-        assert profile.values == pytest.approx([0.0, 1.0 / 3.0, 8.0 / 3.0], abs=1e-12)
+        got = self.profile(IntegrandSpec.polynomial([0.0, 1.0]), TimeGrid(np.array([0.0, 1.0, 2.0])))
+        assert got == pytest.approx([0.0, 1.0 / 3.0, 8.0 / 3.0], abs=1e-12)
 
     def test_zero_integrand_all_zero(self):
-        profile = quad_var_profile(IntegrandSpec.constant(0.0), TimeGrid.uniform(3.0, 7))
-        assert not profile.values.any()
+        assert not any(self.profile(IntegrandSpec.constant(0.0), TimeGrid.uniform(3.0, 7)))
 
     def test_panels_sum_to_direct_value(self):
         grid = TimeGrid.uniform(1.0, 5)
-        profile = quad_var_profile(TRIANGLE, grid)
-        assert profile.method == "trapezoid"
-        for i, t in enumerate(grid.t):
-            assert profile.values[i] == pytest.approx(
-                quad_var(TRIANGLE, float(t)), abs=len(grid.t) * DEFAULT_TOL
-            )
+        panels = [quad_var_between(TRIANGLE, float(a), float(b)) for a, b in zip(grid.t, grid.t[1:])]
+        running = np.concatenate([[0.0], np.cumsum(panels)])
+        assert running == pytest.approx(self.profile(TRIANGLE, grid), abs=len(grid.t) * QUAD_TOL)
 
     def test_nondecreasing(self):
         for spec in (TRIANGLE, IntegrandSpec.polynomial([1.0, -1.0])):
-            profile = quad_var_profile(spec, TimeGrid.uniform(2.0, 9))
-            assert np.all(np.diff(profile.values) >= 0.0)
+            assert np.all(np.diff(self.profile(spec, TimeGrid.uniform(2.0, 9))) >= 0.0)
 
     def test_divergence_propagates(self):
         spec = IntegrandSpec.inverse_sqrt_blowup(1.0, 1.0)
         with pytest.raises(DivergentIntegralError):
-            quad_var_profile(spec, TimeGrid.uniform(1.0, 4))
+            self.profile(spec, TimeGrid.uniform(1.0, 4))
 
 
 class TestTimeGrid:
@@ -347,6 +356,62 @@ def test_quad_var_monotone_in_time(coeffs, s, t):
 def test_decay_quadrature_consistency(c, rate, t):
     # randomized closed-form vs adaptive agreement
     spec = IntegrandSpec.exponential_decay(c, rate)
-    closed = quad_var(spec, t, method="closed_form")
-    adaptive = quad_var(spec, t, method="adaptive")
-    assert abs(closed - adaptive) <= CROSS_ROUTE_TOL
+    assert abs(quad_var(spec, t) - adaptive_qv(spec, t)) <= CROSS_ROUTE_TOL
+
+
+def exact_tabulated_qv(knots, t):
+    """qv(t) of a piecewise-linear integrand in exact rational arithmetic."""
+    knots = [(Fraction(u), Fraction(v)) for u, v in knots]
+    t = Fraction(t)
+    total = Fraction(0)
+    for (t0, a), (t1, b) in zip(knots, knots[1:]):
+        if t <= t0:
+            break
+        x = min(t, t1) - t0
+        m = (b - a) / (t1 - t0)
+        total += x * (a * a + a * m * x + m * m * x * x / 3)
+    last_t, last_v = knots[-1]
+    if t > last_t:
+        total += last_v * last_v * (t - last_t)
+    return total
+
+
+@st.composite
+def knot_tables(draw):
+    # 1-40 knots, signs mixed, magnitudes log-uniform on [1e-3, 1e3]
+    n = draw(st.one_of(st.just(1), st.integers(2, 40)))
+    times = [0.0]
+    for gap in draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1)):
+        times.append(times[-1] + gap)
+    value = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0)).map(lambda se: se[0] * 10.0 ** se[1])
+    return list(zip(times, draw(st.lists(value, min_size=n, max_size=n))))
+
+
+@st.composite
+def times_for(draw, knots):
+    """A time at a knot, strictly between two knots, or past the last one."""
+    times = [u for u, _ in knots]
+    where = draw(st.sampled_from(("knot", "between", "past")))
+    if where == "knot":
+        return draw(st.sampled_from(times))
+    if where == "between" and len(times) > 1:
+        i = draw(st.integers(0, len(times) - 2))
+        return draw(st.floats(times[i], times[i + 1], exclude_min=True, exclude_max=True))
+    return times[-1] + draw(st.floats(1e-3, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tabulated_quad_var_matches_exact_rationals(data):
+    knots = data.draw(knot_tables())
+    spec = IntegrandSpec.tabulated(knots)
+    s, t = sorted(data.draw(times_for(knots)) for _ in range(2))
+    got = {u: quad_var(spec, u) for u in (s, t)}
+    for u, value in got.items():
+        exact = exact_tabulated_qv(knots, u)
+        # 8 eps relative; a result below the normal range (t subnormal) is
+        # stored on a grid of absolute spacing ulp(0), so that spacing is allowed too
+        assert abs(Fraction(value) - exact) <= 8 * Fraction(EPS) * exact + Fraction(math.ulp(0.0))
+    # exact qv is nondecreasing; each computed value is within 8 eps of it
+    assert got[s] <= got[t] * (1.0 + 16.0 * EPS)
+    assert quad_var_between(spec, s, t) == got[t] - got[s]
