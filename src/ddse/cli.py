@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -33,7 +34,7 @@ from .paths import (
     write_binary,
     write_csv,
 )
-from .wick import cgf_truncated, check_log_relation, mgf_truncated
+from .wick import MAX_ENUM_ORDER, cgf_truncated, check_log_relation, mgf_truncated
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -76,8 +77,8 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.n_paths < 1:
@@ -279,8 +280,8 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     # moments as it is generated and no path matrix is ever held
     moments = NodeMoments(grid, qv, config.n_paths, config.p_values, config.antithetic)
     # the moment profile is a law of the exact exponential: an Euler run
-    # that scans also folds the exact z of the same rows, right after the
-    # Euler z and so in the same per-thread buffers
+    # that scans also builds and folds the exact z of the same rows, right
+    # after its Euler z and so in the same per-thread fold buffers
     fold_exact = euler and bool(scan_ps)
     exact_moments = moments
     if fold_exact:
@@ -288,15 +289,14 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
     bins = None
     if config.n_paths >= _INCREMENT_MIN_PATHS:
         s_index = min(_nearest_node(grid, 0.5 * config.horizon), horizon_index - 1)
-        bins = IncrementBins(grid, qv, config.n_paths, s_index, horizon_index, n_bins=16)
+        bins = IncrementBins(grid, qv, config.n_paths, s_index, horizon_index)
 
     def fold(block):
-        z = block.z if block.euler_z is None else block.euler_z
         return (
-            moments.partials(z),
-            exact_moments.partials(block.z) if fold_exact else None,
-            None if bins is None else bins.partials(block.ito, z),
-            int(np.count_nonzero(z <= 0.0)) if euler else 0,
+            moments.partials(block.z),
+            exact_moments.partials(rows.exact_z(block)) if fold_exact else None,
+            None if bins is None else bins.partials(block.ito, block.z),
+            int(np.count_nonzero(block.z <= 0.0)) if euler else 0,
         )
 
     for node_part, exact_part, bin_part, nonpositive in rows.map(fold, workers):
@@ -347,8 +347,8 @@ def cmd_estimate(config: RunConfig, workers: int = 1, out=None) -> int:
 
 def cmd_wick(config: RunConfig, order: int, out=None) -> int:
     out = sys.stdout if out is None else out
-    if order % 2 or not 2 <= order <= 14:
-        raise ConfigError(f"--order must be an even integer in [2, 14], got {order}")
+    if order % 2 or not 2 <= order <= MAX_ENUM_ORDER:
+        raise ConfigError(f"--order must be an even integer in [2, {MAX_ENUM_ORDER}], got {order}")
     t = config.horizon
     doc = {
         "mgf": mgf_truncated(config.psi, t, order).to_json_dict(),
@@ -391,7 +391,7 @@ def _build_parser() -> _Parser:
         "--p", dest="p_values", type=float, action="append", help="override: moment order (repeatable)"
     )
     wick = sub.add_parser("wick", parents=[common], help="moment/cumulant series and log relation")
-    wick.add_argument("--order", type=int, default=14, help="series truncation order (even, 2..14)")
+    wick.add_argument("--order", type=int, default=14, help=f"series truncation order (even, 2..{MAX_ENUM_ORDER})")
     return parser
 
 

@@ -29,11 +29,12 @@ import numpy as np
 from scipy.special import ndtri
 
 from .integrand import DivergentIntegralError, TimeGrid
-from .paths import _BLOCK_ROWS, PathBundle, _copy_transposed, _Scratch
+from .paths import _BLOCK_ROWS, PathBundle, _Scratch
 
 CONFIDENCE_SIGMAS = 3.0
 BIN_GAP_SIGMAS = 4.0
 _INCREMENT_MIN_PATHS = 10_000  # fewer leave the increment bins too thin for stable errors
+_INCREMENT_BINS = 16
 
 #: Var Z = exp(qv) - 1, so beyond this the estimator tails turn log-normal
 #: enough that the quoted standard errors deserve suspicion.
@@ -280,13 +281,13 @@ def _abs_power(rows: np.ndarray, p: float, scratch: _Scratch) -> np.ndarray:
 class NodeMoments:
     """Moments of z, and of |z|^p for each p in ``powers``, at every node.
 
-    ``partials(z)`` reduces a block of rows of z (rows x nodes) to slice
-    moments and may run on any thread, in arrays each thread reuses from
-    block to block; ``merge`` takes them in row order.  Those arrays live
-    in ``scratch``: folds that run one after the other on a thread, as an
-    Euler run's folds of its Euler and exact z do, can share one.
-    With ``antithetic`` the observations are the means of mirrored row
-    pairs.  ``nonpositive_count`` is the number of entries z <= 0 the
+    ``partials(z)`` reduces a block of rows of a node-major z (rows x nodes)
+    to slice moments and may run on any thread, in arrays each thread
+    reuses from block to block; ``merge`` takes them in row order.  Those
+    arrays live in ``scratch``: folds that run one after the other on a
+    thread, as an Euler run's folds of its Euler and exact z do, can share
+    one.  With ``antithetic`` the observations are the means of mirrored
+    row pairs.  ``nonpositive_count`` is the number of entries z <= 0 the
     sampler produced: while it is zero the p = 1 moment is the mean of z.
     """
 
@@ -307,24 +308,25 @@ class NodeMoments:
     def of_bundle(cls, bundle: PathBundle, powers=()) -> "NodeMoments":
         moments = cls(bundle.grid, bundle.quad_var, bundle.n_paths, powers, bundle.antithetic)
         for start in range(0, bundle.n_paths, _BLOCK_ROWS):
-            moments.merge(moments.partials(bundle.z[start : start + _BLOCK_ROWS]))
+            # a node-major copy of the bundle's row-major z, a block at a time
+            rows = np.ascontiguousarray(bundle.z[start : start + _BLOCK_ROWS].T)
+            moments.merge(moments.partials(rows.T))
         moments.nonpositive_count = bundle.nonpositive_count
         return moments
 
     def partials(self, z: np.ndarray) -> list:
         """Slice moments of z and of each |z|^p, per quantity in slice order.
 
-        z is read in place through ``np.transpose(z)`` when that is
-        C-contiguous, as for the node-major z of a ``RowBlocks`` block.  A
-        row-major z, such as a bundle's rows, is first copied node-major
-        into a buffer of ``scratch``.  The rest happens one slice of
-        observations at a time, in a (nodes, 8192) buffer of ``scratch``
-        (and, under ``antithetic``, a second one for the pair means).
+        z must be node-major, as a ``RowBlocks`` block's z is: it is read in
+        place through ``np.transpose(z)``, which must be C-contiguous.  The
+        rest happens one slice of observations at a time, in a (nodes, 8192)
+        buffer of ``scratch`` (and, under ``antithetic``, a second one for
+        the pair means).
         """
         scratch = self.scratch
         zt = np.transpose(z)
         if not zt.flags.c_contiguous:
-            zt = _copy_transposed(scratch.take("zt", zt.shape), z)
+            raise ValueError("partials needs a node-major z, whose transpose is C-contiguous")
         n_nodes, per_obs = zt.shape[0], 2 if self.antithetic else 1
         partials = [[] for _ in range(1 + len(self.powers))]
         for start in range(0, zt.shape[1], per_obs * _SUM_BLOCK):
@@ -485,14 +487,14 @@ class MartingaleTestReport:
 class IncrementBins:
     """Binned moments of z(t) - z(s), grouped by the Ito sum I(s).
 
-    I(s) is Normal(0, qv_N(s)) under both schemes, so the bin edges are its
-    exact quantiles sqrt(qv_N(s)) * Phi^-1(k / n_bins); for the exact scheme
-    that is binning on the quantiles of z(s) itself, with no sort.  As with
-    ``NodeMoments``, ``partials(ito, z)`` reduces a block of rows on any
-    thread and ``merge`` takes the blocks in row order.
+    I(s) is Normal(0, qv_N(s)) under both schemes, so the edges of the 16
+    bins are its exact quantiles sqrt(qv_N(s)) * Phi^-1(k / 16); for the
+    exact scheme that is binning on the quantiles of z(s), with no sort.
+    As with ``NodeMoments``, ``partials(ito, z)`` reduces a block of rows on
+    any thread and ``merge`` takes the blocks in row order.
     """
 
-    def __init__(self, grid: TimeGrid, quad_var, n_paths: int, s_index: int, t_index: int, n_bins: int):
+    def __init__(self, grid: TimeGrid, quad_var, n_paths: int, s_index: int, t_index: int):
         n_nodes = grid.t.size
         _check_node(n_nodes, s_index)
         _check_node(n_nodes, t_index)
@@ -500,19 +502,17 @@ class IncrementBins:
             raise ValueError("increment test needs s_index < t_index")
         if n_paths < _INCREMENT_MIN_PATHS:
             raise ValueError(f"increment test needs at least {_INCREMENT_MIN_PATHS} paths for stable bin errors")
-        if not 4 <= n_bins <= 64:
-            raise ValueError("n_bins must lie in [4, 64]")
         self.s = float(grid.t[s_index])
         self.t = float(grid.t[t_index])
         self.s_index = s_index
         self.t_index = t_index
-        self.n_bins = n_bins
-        self.edges = np.sqrt(float(quad_var[s_index])) * ndtri(np.arange(1, n_bins) / n_bins)
+        self.n_bins = _INCREMENT_BINS
+        self.edges = np.sqrt(float(quad_var[s_index])) * ndtri(np.arange(1, self.n_bins) / self.n_bins)
         self._bins = _Moments()
 
     @classmethod
-    def of_bundle(cls, bundle: PathBundle, s_index: int, t_index: int, n_bins: int) -> "IncrementBins":
-        bins = cls(bundle.grid, bundle.quad_var, bundle.n_paths, s_index, t_index, n_bins)
+    def of_bundle(cls, bundle: PathBundle, s_index: int, t_index: int) -> "IncrementBins":
+        bins = cls(bundle.grid, bundle.quad_var, bundle.n_paths, s_index, t_index)
         bins.merge(bins.partials(bundle.ito, bundle.z))
         return bins
 
@@ -579,23 +579,18 @@ class IncrementBins:
         )
 
 
-def martingale_increment_test(
-    bundle: PathBundle,
-    s_index: int,
-    t_index: int,
-    n_bins: int,
-) -> MartingaleTestReport:
+def martingale_increment_test(bundle: PathBundle, s_index: int, t_index: int) -> MartingaleTestReport:
     """Test E[z(t) - z(s) | I(s)] = 0 by binning on the Ito sum I(s).
 
     No functional form is assumed: paths are grouped by the exact Gaussian
     quantiles of I(s) (equivalently of z(s) for the exact scheme) and each
     group's mean increment is compared to zero in units of its own standard
     error.  Each group is one check, passed when its gap is within 4 SE
-    (Bonferroni slack for up to 64 bins); the test passes when all do.
+    (Bonferroni slack for the 16 bins); the test passes when all do.
     Bins emptied by ties are merged rightward into their neighbour and the
     merge is noted.
     """
-    return IncrementBins.of_bundle(bundle, s_index, t_index, n_bins).report()
+    return IncrementBins.of_bundle(bundle, s_index, t_index).report()
 
 
 def drift_expectation_check(bundle: PathBundle, alpha: float, x0: float) -> EstimateReport:

@@ -224,8 +224,8 @@ class TimeGrid:
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
         if steps < 1:
             raise ValueError("uniform grid needs steps >= 1")
-        if not horizon > 0:
-            raise ValueError("uniform grid needs horizon > 0")
+        if not 0 < horizon < math.inf:
+            raise ValueError("uniform grid needs a finite horizon > 0")
         return cls(np.linspace(0.0, horizon, steps + 1))
 
     @property
@@ -277,8 +277,7 @@ def _qv_tabulated(spec: IntegrandSpec, t: float) -> float:
     f = np.append(values[:before], np.interp(t, times, values))
     a, b = f[:-1], f[1:]
     s = a + b
-    # invalid: an infinite t past a last value of 0 gives inf * 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         pieces = np.diff(ends) * (a * a + b * b + s * s) / 6.0
     return math.fsum(pieces.tolist())
 
@@ -347,10 +346,10 @@ def quad_var_between(spec: IntegrandSpec, a: float, b: float) -> float:
     Raises DivergentIntegralError when the integral is infinite: at or past
     the pole of an inverse-square-root integrand, when a closed form
     overflows float64, or, for a tabulated integrand, when the running qv
-    from zero exceeds DIVERGENCE_CAP.
+    from zero exceeds DIVERGENCE_CAP.  An infinite bound is a ValueError.
     """
-    if not 0.0 <= a <= b:
-        raise ValueError("quad_var_between requires 0 <= a <= b")
+    if not 0.0 <= a <= b < math.inf:
+        raise ValueError("quad_var_between requires finite 0 <= a <= b")
     try:
         value = _qv_closed(spec, b) - _qv_closed(spec, a)
     except OverflowError:

@@ -10,11 +10,12 @@ inverse CDF of those uniforms: fixed consumption of one uniform per
 normal, unlike rejection samplers whose draw count is data-dependent.
 
 There is one sampling pipeline: ``RowBlocks`` generates rows in fixed
-2^14-row blocks (increments, Ito sums, exact z and, for the Euler scheme,
-the Euler z), optionally on a thread pool.  ``stoch_exp_exact`` and
-``stoch_exp_em`` copy the blocks into a full PathBundle; a caller that only
-needs sums, such as ``ddse estimate``, folds each block as it comes and
-never holds the matrices.
+2^14-row blocks (increments, Ito sums and the z of the run's scheme),
+optionally on a thread pool; ``exact_z`` builds an Euler block's exact z
+for the one caller that reads it.  ``stoch_exp_exact`` and ``stoch_exp_em``
+write the blocks into a full PathBundle; a caller that only needs sums,
+such as ``ddse estimate``, folds each block as it comes and never holds
+the matrices.
 
 A folded block lives in arrays that its thread reuses for every block it
 generates (one set per thread, freed when the thread ends), and each step
@@ -22,12 +23,12 @@ writes into them in place: a block costs no fresh memory, so the pages are
 not given back to the system and faulted in again block after block.  The
 same operations run on the same operands, so no value changes.
 
-A folded block's z (and Euler z) keeps the (rows, nodes) shape of a full
-sampler's rows, but its memory is node-major: it is the transpose of a
+A folded block's z (and ``exact_z``'s) keeps the (rows, nodes) shape of a
+full sampler's rows, but its memory is node-major: it is the transpose of a
 C-contiguous (nodes, rows) buffer, so a fold reads each node's values as
-one contiguous run and needs no transposed copy.  Shapes, ``tobytes()``
-and the fold contract are those of row-major arrays; ``bundle()`` still
-writes row-major matrices."""
+one contiguous run and needs no transposed copy.  Shapes, ``tobytes()`` and
+the fold contract are those of row-major arrays; ``bundle()`` still writes
+row-major matrices."""
 
 from __future__ import annotations
 
@@ -294,20 +295,19 @@ def _require_finite_novikov(spec: IntegrandSpec, grid: TimeGrid):
 
 
 class RowBlock(NamedTuple):
-    """Consecutive rows of a sample: increments, Ito sums, exact z, Euler z."""
+    """Consecutive rows of a sample: increments, Ito sums and z of the scheme."""
 
     increments: np.ndarray
     ito: np.ndarray
     z: np.ndarray
-    euler_z: np.ndarray | None
 
 
 class RowBlocks:
     """A sample of the stochastic exponential, generated in fixed row blocks.
 
     Each block holds the rows [start, stop) of the increment, Ito-sum and
-    exact-z matrices a full sampler would build, and with ``euler`` also the
-    Euler-scheme z on the same increments.  Rows depend only on
+    z matrices a full sampler would build: the exact z, or with ``euler``
+    the Euler-scheme z on the same increments.  Rows depend only on
     (seed, stream, row), so a block is the same whichever blocks come
     before it or run beside it.  Refuses divergent integrands up front.
     """
@@ -344,9 +344,9 @@ class RowBlocks:
         reuses (their leading rows for a short block), which the thread's
         next block overwrites: take what is needed from them before the
         thread generates another block, and keep no reference to them.
-        Their shapes are those of a full sampler's rows; z and the Euler z
-        are node-major in memory (see the module docstring).  Either layout
-        of ``out`` gets the same values.
+        Their shapes are those of a full sampler's rows; z is node-major in
+        memory (see the module docstring).  Either layout of ``out`` gets
+        the same values.
         """
         if out is None:
             take, rows = self._scratch.take, stop - start
@@ -354,25 +354,36 @@ class RowBlocks:
                 take("increments", (rows, self.grid.n_steps)),
                 take("ito", (rows, self.grid.t.size)),
                 self._node_major("z", rows),
-                self._node_major("euler_z", rows) if self.euler else None,
             )
         _increment_rows(self.grid, self.seed, self.antithetic, start, out.increments, self._scratch)
         ito_integral(self.spec, out.increments, self.grid, out=out.ito)
-        # z and the Euler z are computed on their (nodes, rows) transposes,
-        # where each node is a contiguous row of a node-major array
-        z = _copy_transposed(out.z.T, out.ito)
-        np.subtract(z, 0.5 * self.quad_var[:, None], out=z)
-        np.exp(z, out=z)
-        if self.euler:
-            euler = out.euler_z.T
-            euler[0] = 1.0
-            steps = _copy_transposed(euler[1:], out.increments)
-            np.multiply(steps, self.spec.values(self.grid.t[:-1])[:, None], out=steps)
-            np.add(steps, 1.0, out=steps)
-            # the running product along the nodes, as cumprod takes it
-            for j in range(1, len(steps)):
-                np.multiply(steps[j - 1], steps[j], out=steps[j])
+        if not self.euler:
+            self.exact_z(out, out.z)
+            return out
+        # the Euler z is computed on its (nodes, rows) transpose, where each
+        # node is a contiguous row of a node-major array
+        euler = out.z.T
+        euler[0] = 1.0
+        steps = _copy_transposed(euler[1:], out.increments)
+        np.multiply(steps, self.spec.values(self.grid.t[:-1])[:, None], out=steps)
+        np.add(steps, 1.0, out=steps)
+        # the running product along the nodes, as cumprod takes it
+        for j in range(1, len(steps)):
+            np.multiply(steps[j - 1], steps[j], out=steps[j])
         return out
+
+    def exact_z(self, block: RowBlock, out: np.ndarray | None = None) -> np.ndarray:
+        """The exact z of a block's rows, from its Ito sums; ``out`` when given.
+
+        Otherwise it is node-major in an array of the calling thread, which
+        the thread's next call overwrites: keep no reference to it.
+        """
+        z = self._node_major("exact_z", len(block.ito)) if out is None else out
+        # computed on the (nodes, rows) transpose, like the Euler z
+        zt = _copy_transposed(z.T, block.ito)
+        np.subtract(zt, 0.5 * self.quad_var[:, None], out=zt)
+        np.exp(zt, out=zt)
+        return z
 
     def map(self, fold, workers: int = 1):
         """Yield fold(block) for each row block, in block order.
@@ -381,28 +392,21 @@ class RowBlocks:
         thread pool.  A block's arrays are reused for the next block its
         thread generates, so ``fold`` must not keep them, nor any view of
         them: it should return fresh reductions, and small ones.  The
-        block's z and Euler z are node-major in memory (see ``_block``).
+        block's z is node-major in memory (see ``_block``).
         """
         return _map_blocks(lambda start, stop: fold(self._block(start, stop)), self.n_paths, workers)
 
     def bundle(self, workers: int = 1) -> PathBundle:
-        """All rows as one PathBundle (of the Euler z when ``euler``)."""
+        """All rows as one PathBundle, of the Euler z when ``euler``."""
         n_nodes = self.grid.t.size
         increments = np.empty((self.n_paths, self.grid.n_steps))
         ito = np.empty((self.n_paths, n_nodes))
         z = np.empty((self.n_paths, n_nodes))
 
         def fill(start, stop):
-            # each block writes straight into its rows of the full matrices;
-            # an Euler bundle keeps the Euler z and writes the exact one into
-            # a throwaway array its thread reuses
+            # each block writes straight into its rows of the full matrices
             rows = slice(start, stop)
-            if self.euler:
-                throwaway = self._node_major("z", stop - start)
-                out = RowBlock(increments[rows], ito[rows], throwaway, z[rows])
-            else:
-                out = RowBlock(increments[rows], ito[rows], z[rows], None)
-            self._block(start, stop, out)
+            self._block(start, stop, RowBlock(increments[rows], ito[rows], z[rows]))
 
         for _ in _map_blocks(fill, self.n_paths, workers):
             pass

@@ -233,17 +233,16 @@ def check_log_relation(spec: IntegrandSpec, t: float, M: int) -> LogRelationRepo
     return LogRelationReport(gap=gap, bound=bound, passed=gap <= bound)
 
 
-def compensated_series_mean(spec: IntegrandSpec, t: float, M: int = 2) -> float:
+def compensated_series_mean(spec: IntegrandSpec, t: float) -> float:
     """exp(-qv/2) times the exponentiated CGF total, which is exactly one.
 
-    Evaluated as a single exponential of (cgf_total - qv/2) so the
+    The CGF total is qv/2 at every truncation order, so order two stands
+    for all.  Evaluated as a single exponential of (cgf_total - qv/2) so the
     cancellation happens in the exponent, where it is exact, rather than
     between two rounded exponentials.
     """
-    M = max(M, 2)
-    _check_truncation(M, 2, "cumulant truncation order")
     qv = quad_var(spec, t)
-    return math.exp(_cgf_series(qv, M).total - 0.5 * qv)
+    return math.exp(_cgf_series(qv, 2).total - 0.5 * qv)
 
 
 def discrete_moment_oracle(

@@ -147,7 +147,7 @@ def test_criterion_09_drifted_mean():
 
 def test_criterion_10_increment_test_power(main_run):
     bundle, _ = main_run
-    clean = martingale_increment_test(bundle, 8, 16, 16)
+    clean = martingale_increment_test(bundle, 8, 16)
 
     # calibrate a multiplicative drift at the later node so the most
     # detectable bin sits at exactly 5 of its own standard errors
@@ -175,7 +175,7 @@ def test_criterion_10_increment_test_power(main_run):
         seed=bundle.seed,
         antithetic=bundle.antithetic,
     )
-    biased = martingale_increment_test(biased_bundle, 8, 16, 16)
+    biased = martingale_increment_test(biased_bundle, 8, 16)
     ok = clean.passed and not biased.passed
     verdict(10, "binned increment test passes clean paths and catches a 5 SE drift", ok)
 

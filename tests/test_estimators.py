@@ -12,6 +12,7 @@ from ddse.estimators import (
     BIN_GAP_SIGMAS,
     EstimateReport,
     IncrementBins,
+    NodeMoments,
     det_sum,
     drift_expectation_check,
     estimate_mean_z,
@@ -186,6 +187,16 @@ class TestEstimateMeanZ:
         with pytest.raises(IndexError):
             estimate_mean_z(bundle, 5)
 
+    def test_partials_read_only_a_node_major_z(self):
+        # a bundle's rows are row-major: the bundle functions fold node-major
+        # copies of them, and the fold itself makes none
+        bundle = stoch_exp_exact(UNIT, TimeGrid.uniform(1.0, 4), 500, SeedSpec(5))
+        moments = NodeMoments(bundle.grid, bundle.quad_var, bundle.n_paths)
+        with pytest.raises(ValueError, match="node-major"):
+            moments.partials(bundle.z)
+        moments.merge(moments.partials(np.ascontiguousarray(bundle.z.T).T))
+        assert moments.mean_z(4) == estimate_mean_z(bundle, 4)
+
 
 class TestEstimatePMoment:
     def test_p_one_is_the_martingale_estimate(self):
@@ -279,7 +290,7 @@ class TestMartingaleIncrementTest:
 
     def test_degenerate_conditioning_collapses_to_one_group(self):
         bundle = stoch_exp_exact(ZERO, self.GRID, 20_000, SeedSpec(9))
-        report = martingale_increment_test(bundle, 8, 16, 16)
+        report = martingale_increment_test(bundle, 8, 16)
         assert report.gaps == (0.0,)
         assert report.gaps_in_se == (0.0,)
         assert report.passed
@@ -289,7 +300,7 @@ class TestMartingaleIncrementTest:
         # I(s) ~ Normal(0, qv_N(s)) with qv_N(s) = 0.5 here, so each of the
         # 16 bins holds 1/16 of the paths up to binomial noise
         n = 160_000
-        bins = IncrementBins.of_bundle(stoch_exp_exact(UNIT, self.GRID, n, SeedSpec(77)), 8, 16, 16)
+        bins = IncrementBins.of_bundle(stoch_exp_exact(UNIT, self.GRID, n, SeedSpec(77)), 8, 16)
         oracle = [NormalDist(0.0, math.sqrt(0.5)).inv_cdf(k / 16) for k in range(1, 16)]
         np.testing.assert_allclose(bins.edges, oracle, rtol=1e-12, atol=1e-15)
         sd = math.sqrt(n / 16 * (1 - 1 / 16))
@@ -298,7 +309,7 @@ class TestMartingaleIncrementTest:
 
     def test_exact_scheme_passes(self):
         bundle = stoch_exp_exact(UNIT, self.GRID, 20_000, SeedSpec(402))
-        report = martingale_increment_test(bundle, 8, 16, 16)
+        report = martingale_increment_test(bundle, 8, 16)
         assert report.passed
         assert report.n_bins == 16
         assert len(report.gaps) == 16
@@ -315,32 +326,28 @@ class TestMartingaleIncrementTest:
     def test_euler_scheme_passes(self):
         # the Euler recursion is a discrete martingale too, sign changes and all
         bundle = stoch_exp_em(UNIT, self.GRID, 20_000, SeedSpec(556))
-        report = martingale_increment_test(bundle, 8, 16, 16)
+        report = martingale_increment_test(bundle, 8, 16)
         assert report.passed
 
     def test_injected_drift_is_detected(self):
         bundle = stoch_exp_exact(UNIT, self.GRID, 20_000, SeedSpec(402))
         z = bundle.z.copy()
         z[:, 16] *= math.exp(0.10)
-        report = martingale_increment_test(rebuilt_with_z(bundle, z), 8, 16, 16)
+        report = martingale_increment_test(rebuilt_with_z(bundle, z), 8, 16)
         assert not report.passed
         assert report.max_abs_gap_in_se > 4.0
 
     def test_validations(self):
         bundle = stoch_exp_exact(UNIT, self.GRID, 20_000, SeedSpec(10))
         with pytest.raises(ValueError, match="s_index < t_index"):
-            martingale_increment_test(bundle, 8, 8, 16)
-        with pytest.raises(ValueError, match="n_bins"):
-            martingale_increment_test(bundle, 8, 16, 3)
-        with pytest.raises(ValueError, match="n_bins"):
-            martingale_increment_test(bundle, 8, 16, 65)
+            martingale_increment_test(bundle, 8, 8)
         small = stoch_exp_exact(UNIT, self.GRID, 9_999, SeedSpec(10))
         with pytest.raises(ValueError, match="10000 paths"):
-            martingale_increment_test(small, 8, 16, 16)
+            martingale_increment_test(small, 8, 16)
 
     def test_json_uses_pass_key(self):
         bundle = stoch_exp_exact(ZERO, self.GRID, 20_000, SeedSpec(9))
-        doc = martingale_increment_test(bundle, 8, 16, 16).to_json_dict()
+        doc = martingale_increment_test(bundle, 8, 16).to_json_dict()
         assert doc["pass"] is True
         assert set(doc) == {"s", "t", "n_bins", "gaps", "gaps_in_se", "max_abs_gap_in_se", "pass", "notes"}
 

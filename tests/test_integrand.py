@@ -202,6 +202,19 @@ class TestQuadVar:
         with pytest.raises(ValueError):
             quad_var_between(spec, 0.5, 0.2)
 
+    @pytest.mark.parametrize(
+        "spec", [IntegrandSpec.exponential_decay(1.0, 0.5), IntegrandSpec.constant(1.0), TRIANGLE]
+    )
+    def test_infinite_bound_is_refused_not_answered(self, spec):
+        # qv(inf) of a decaying integrand is finite and of a constant one is
+        # not; neither is answered from a closed form evaluated at inf
+        for call in (lambda: quad_var(spec, math.inf), lambda: quad_var_between(spec, 1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite") as err:
+                call()
+            assert not isinstance(err.value, DivergentIntegralError)
+        with pytest.raises(ValueError, match="finite"):
+            novikov_check(spec, math.inf)
+
     def test_divergence_analytic(self):
         spec = IntegrandSpec.inverse_sqrt_blowup(1.0, 1.0)
         with pytest.raises(DivergentIntegralError) as err:
@@ -326,6 +339,8 @@ class TestTimeGrid:
             TimeGrid.uniform(1.0, 0)
         with pytest.raises(ValueError):
             TimeGrid.uniform(0.0, 4)
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid.uniform(math.inf, 4)
 
     def test_nodes_write_protected(self):
         grid = TimeGrid.uniform(1.0, 2)

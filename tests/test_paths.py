@@ -190,7 +190,9 @@ class TestRowBlocks:
         # map writes each block into arrays its thread reuses; a fold that
         # dawdles must still see its own rows, not those of a block another
         # thread, or its own thread's next block, wrote into the same arrays.
-        # 5 steps draw the uniforms through scratch, 8 straight into the block
+        # An Euler fold also builds the exact z of its rows, in an array its
+        # thread reuses too.  5 steps draw the uniforms through scratch, 8
+        # straight into the block
         rows = 8
         monkeypatch.setattr(paths, "_BLOCK_ROWS", rows)
         n_paths = 7 * rows + 2
@@ -198,7 +200,8 @@ class TestRowBlocks:
         blocks = paths.RowBlocks(UNIT, grid, n_paths, SEED, antithetic=antithetic, euler=euler)
 
         def digests(block):
-            return [None if a is None else hashlib.sha256(a.tobytes()).hexdigest() for a in block]
+            arrays = [*block, blocks.exact_z(block)] if euler else block
+            return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
 
         def fold(block):
             time.sleep(0.003)
@@ -207,9 +210,7 @@ class TestRowBlocks:
         fresh = []
         for start in range(0, n_paths, rows):
             shape = (min(rows, n_paths - start), steps + 1)
-            out = paths.RowBlock(
-                np.empty((shape[0], steps)), np.empty(shape), np.empty(shape), np.empty(shape) if euler else None
-            )
+            out = paths.RowBlock(np.empty((shape[0], steps)), np.empty(shape), np.empty(shape))
             fresh.append(digests(blocks._block(start, start + shape[0], out=out)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -218,15 +219,19 @@ class TestRowBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert folded == fresh
+        if euler:
+            # the Euler z and the exact z of the same rows differ
+            assert all(digest[2] != digest[3] for digest in fresh)
 
     def test_folded_z_is_node_major(self):
-        # a folded block's z arrays keep the (rows, nodes) shape, but each
-        # node's values are one contiguous run, so a fold needs no transpose
+        # a folded block's z, and the exact z an Euler fold builds, keep the
+        # (rows, nodes) shape, but each node's values are one contiguous run,
+        # so a fold needs no transpose
         grid = TimeGrid.uniform(1.0, 8)
         blocks = paths.RowBlocks(UNIT, grid, 20_000, SEED, euler=True)
 
         def layout(block):
-            return [(z.shape, np.transpose(z).flags.c_contiguous) for z in (block.z, block.euler_z)]
+            return [(z.shape, np.transpose(z).flags.c_contiguous) for z in (block.z, blocks.exact_z(block))]
 
         rows = [paths._BLOCK_ROWS, 20_000 - paths._BLOCK_ROWS]
         assert list(blocks.map(layout)) == [[((n, 9), True)] * 2 for n in rows]
